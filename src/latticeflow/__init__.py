@@ -1,4 +1,4 @@
-"""Monotone-framework dataflow analysis on a partitioned superstep engine.
+"""Monotone-framework dataflow analysis on a barriered superstep engine.
 
 Whole-program analysis runs either as the classic gather-all worklist or
 the optimized delta-message worklist; a sequential oracle provides ground

@@ -60,9 +60,6 @@ def _canonical_json(obj) -> bytes:
 class ReachingDefsFact:
     defs: frozenset[tuple[str, str]]  # (def_id, var)
 
-    def copy(self) -> "ReachingDefsFact":
-        return self  # immutable
-
     def leq(self, other: "ReachingDefsFact") -> bool:
         return self.defs <= other.defs
 
@@ -134,9 +131,6 @@ def _join_value(a, b):
 @dataclass(frozen=True)
 class ConstPropFact:
     env: dict  # var -> int | TOP; an absent var is bottom
-
-    def copy(self) -> "ConstPropFact":
-        return ConstPropFact(dict(self.env))
 
     def leq(self, other: "ConstPropFact") -> bool:
         for var, val in self.env.items():
@@ -213,11 +207,6 @@ class CacheFact:
 
     unreached: bool
     sets: tuple  # tuple of dict[int, int]; empty when unreached
-
-    def copy(self) -> "CacheFact":
-        if self.unreached:
-            return self
-        return CacheFact(False, tuple(dict(s) for s in self.sets))
 
     def leq(self, other: "CacheFact") -> bool:
         # Fewer guaranteed blocks / older bounds is lower; unreached is top.

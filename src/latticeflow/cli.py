@@ -64,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticeflow",
-        description="Interprocedural dataflow analysis on a partitioned "
+        description="Interprocedural dataflow analysis on a barriered "
                     "superstep engine, with incremental re-analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -73,12 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--analysis", required=True,
                       help="client analysis (rd, cp, cache)")
     p_an.add_argument("--algo", choices=["classic", "opt"], default="opt")
-    p_an.add_argument("--workers", type=int, default=1)
+    p_an.add_argument("--workers", type=_positive_int, default=1)
     p_an.add_argument("--store", required=True, help="output fact-store path")
     p_an.add_argument("--sets", type=int, default=4, help="cache sets (cache analysis)")
     p_an.add_argument("--assoc", type=int, default=2,
                       help="cache associativity (cache analysis)")
-    p_an.add_argument("--superstep-cap", type=int, default=None)
+    p_an.add_argument("--superstep-cap", type=_positive_int, default=None)
     p_an.add_argument("--report", default=None, help="also write the report here")
     p_an.set_defaults(func=cmd_analyze)
 
@@ -93,15 +93,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inc.add_argument("--changes", required=True, help="change file (old -> updated)")
     p_inc.add_argument("--store", required=True, help="fact store from the old version")
     p_inc.add_argument("--mode", choices=["naive", "opt"], default="opt")
-    p_inc.add_argument("--workers", type=int, default=1)
-    p_inc.add_argument("--superstep-cap", type=int, default=None)
+    p_inc.add_argument("--workers", type=_positive_int, default=1)
+    p_inc.add_argument("--superstep-cap", type=_positive_int, default=None)
     p_inc.add_argument("--report", default=None)
     p_inc.set_defaults(func=cmd_incremental)
 
     p_ver = sub.add_parser("verify", help="cross-check all four solvers")
     p_ver.add_argument("--cfg", required=True)
     p_ver.add_argument("--analysis", required=True)
-    p_ver.add_argument("--workers", type=int, default=2)
+    p_ver.add_argument("--workers", type=_positive_int, default=2)
     p_ver.add_argument("--sets", type=int, default=4)
     p_ver.add_argument("--assoc", type=int, default=2)
     p_ver.add_argument("--seed", type=int, default=_CHAOTIC_SEED,
@@ -109,6 +109,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _make_analysis(args) -> Analysis:
@@ -224,3 +234,7 @@ def cmd_verify(args) -> int:
     print(f"verified: 4 solvers agree on {len(graph.vertices)} vertices "
           f"({analysis.name})")
     return EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(main())

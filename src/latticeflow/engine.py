@@ -1,12 +1,12 @@
-"""Partitioned synchronous execution of the two worklist algorithms.
+"""Synchronous execution of the two worklist algorithms.
 
-The graph's vertices are split into partitions by ``vertex_id mod
-worker_count``; each partition's state (incoming/outgoing facts, pending
-inbox, active flags) is owned by exactly one worker. Execution proceeds in
-globally barriered supersteps: within a superstep the partitions run
-independently (concurrently when ``worker_count > 1``), and everything a
-vertex produced in superstep t becomes visible to other vertices only at
-superstep t+1.
+All vertex state -- incoming and outgoing facts, the pending inbox and the
+active set -- lives in one table. Execution proceeds in globally barriered
+supersteps (the Pregel model): everything a vertex produces in superstep t
+becomes visible to other vertices only at superstep t+1, so the result
+depends only on the barrier, never on how vertices would be split over
+workers. ``EngineConfig.worker_count`` is validated and reported but does
+not change a run.
 
 Two algorithms share this skeleton and reach the same fixed point:
 
@@ -22,8 +22,9 @@ Two algorithms share this skeleton and reach the same fixed point:
 
 A vertex that has never produced an outgoing fact holds the sentinel
 ``None``; the first computation at a vertex therefore always propagates.
-Gathered facts are folded in ascending sender order, which together with
-merge commutativity makes runs bit-reproducible for any worker count.
+Active vertices are processed in ascending id order and gathered facts are
+folded in ascending sender order, so runs are bit-reproducible. Facts are
+immutable (see ``lattice``), so one fact object may reach many vertices.
 
 ``seed_and_run`` is the optimized algorithm with caller-supplied
 superstep-0 state (per-vertex facts, pending messages, active set); the
@@ -36,9 +37,9 @@ raises ``NonConvergenceError`` instead of looping.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .cfg import SuperGraph, VertexId
@@ -53,7 +54,7 @@ class Algorithm(Enum):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    worker_count: int = 1
+    worker_count: int = 1  # validated and reported; a run does not depend on it
     algorithm: Algorithm = Algorithm.OPTIMIZED
     superstep_cap: int | None = None  # None: 10 * |V|
 
@@ -96,20 +97,6 @@ class AnalysisResult:
 
     def facts_equal(self, other: "AnalysisResult") -> bool:
         return self.in_facts == other.in_facts and self.out_facts == other.out_facts
-
-
-class _Partition:
-    """Vertex state owned by one worker."""
-
-    __slots__ = ("pid", "vertex_ids", "in_facts", "out_facts", "active", "inbox")
-
-    def __init__(self, pid: int, vertex_ids: tuple[VertexId, ...]):
-        self.pid = pid
-        self.vertex_ids = vertex_ids
-        self.in_facts: dict[VertexId, Fact] = {}
-        self.out_facts: dict[VertexId, Fact | None] = {}
-        self.active: set[VertexId] = set()
-        self.inbox: dict[VertexId, list[tuple[VertexId, Fact]]] = {}
 
 
 def run_classic(g: SuperGraph, analysis: Analysis, config: EngineConfig) -> AnalysisResult:
@@ -156,7 +143,7 @@ def seed_and_run(g: SuperGraph, analysis: Analysis, config: EngineConfig,
         raise SeedMismatchError(f"active set references unknown vertices {sorted(bad_active)}")
     return _execute(g, analysis, config, Algorithm.OPTIMIZED,
                     dict(initial_in), dict(initial_out),
-                    {k: list(v) for k, v in initial_messages.items()},
+                    {k: sorted(v, key=itemgetter(0)) for k, v in initial_messages.items()},
                     set(initial_active))
 
 
@@ -174,18 +161,22 @@ def _whole_program_seeds(g: SuperGraph, analysis: Analysis):
 
 def _execute(g: SuperGraph, analysis: Analysis, config: EngineConfig,
              algorithm: Algorithm,
-             initial_in: dict[VertexId, Fact],
-             initial_out: dict[VertexId, Fact | None],
-             initial_messages: dict[VertexId, list[tuple[VertexId, Fact]]],
-             initial_active: set[VertexId]) -> AnalysisResult:
+             in_facts: dict[VertexId, Fact],
+             out_facts: dict[VertexId, Fact | None],
+             inbox: dict[VertexId, list[tuple[VertexId, Fact]]],
+             active: set[VertexId]) -> AnalysisResult:
+    """Run barriered supersteps over one vertex-state table until quiescence.
+
+    ``in_facts`` and ``out_facts`` are updated in place. Each ``inbox``
+    list must be in ascending sender order; later supersteps keep that
+    order because active vertices are processed in ascending id order.
+    """
     classic = algorithm is Algorithm.CLASSIC
-    n_parts = config.worker_count
-    partitions = _build_partitions(g, n_parts, initial_in, initial_out,
-                                   initial_messages, initial_active)
     # Classic gathers pull from the state as of the previous barrier.
-    snapshot: dict[VertexId, Fact | None] = dict(initial_out) if classic else {}
+    snapshot: dict[VertexId, Fact | None] = dict(out_facts) if classic else {}
     bases = {vid: analysis.entry_fact() if vid in g.entries else analysis.initial()
              for vid in g.vertices} if classic else {}
+    active = active | set(inbox)  # a pending message activates its target
 
     cap = config.cap_for(len(g.vertices))
     supersteps = 0
@@ -193,121 +184,47 @@ def _execute(g: SuperGraph, analysis: Analysis, config: EngineConfig,
     fact_updates = 0
     active_counts: list[int] = []
 
-    pool = ThreadPoolExecutor(max_workers=n_parts) if n_parts > 1 else None
-    try:
-        while True:
-            active_now = sum(len(p.active) for p in partitions)
-            if active_now == 0:
-                break
-            if supersteps >= cap:
-                raise NonConvergenceError(
-                    f"no fixed point after {supersteps} supersteps "
-                    f"(cap {cap}); the analysis may not be monotone",
-                    steps=supersteps)
-            supersteps += 1
-            active_counts.append(active_now)
-
-            def step(p: _Partition):
-                return _step_partition(p, g, analysis, classic, snapshot, bases, n_parts)
-
-            if pool is not None:
-                outcomes = list(pool.map(step, partitions))
-            else:
-                outcomes = [step(p) for p in partitions]
-
-            # Barrier: route messages and activations in partition order.
-            for (outgoing, activated, changed, traffic, updates) in outcomes:
-                messages_sent += traffic
-                fact_updates += updates
-                if classic:
-                    snapshot.update(changed)
-                for (dst, sender, fact) in outgoing:
-                    target = partitions[dst % n_parts]
-                    target.inbox.setdefault(dst, []).append((sender, fact))
-                    target.active.add(dst)
-                for dst in activated:
-                    partitions[dst % n_parts].active.add(dst)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    in_facts: dict[VertexId, Fact] = {}
-    out_facts: dict[VertexId, Fact] = {}
-    for p in partitions:
-        in_facts.update(p.in_facts)
-        for vid, out in p.out_facts.items():
-            out_facts[vid] = analysis.initial() if out is None else out
-    # Quiescence: nothing active, nothing pending.
-    assert all(not p.active and not p.inbox for p in partitions)
-    return AnalysisResult(in_facts=in_facts, out_facts=out_facts,
-                          supersteps=supersteps, messages_sent=messages_sent,
-                          fact_updates=fact_updates,
-                          active_per_superstep=active_counts)
-
-
-def _build_partitions(g: SuperGraph, n_parts: int,
-                      initial_in: dict[VertexId, Fact],
-                      initial_out: dict[VertexId, Fact | None],
-                      initial_messages: dict[VertexId, list[tuple[VertexId, Fact]]],
-                      initial_active: set[VertexId]) -> list[_Partition]:
-    by_pid: dict[int, list[VertexId]] = {pid: [] for pid in range(n_parts)}
-    for vid in sorted(g.vertices):
-        by_pid[vid % n_parts].append(vid)
-    partitions = []
-    for pid in range(n_parts):
-        p = _Partition(pid, tuple(by_pid[pid]))
-        for vid in p.vertex_ids:
-            p.in_facts[vid] = initial_in[vid]
-            p.out_facts[vid] = initial_out[vid]
-        partitions.append(p)
-    for dst, msgs in initial_messages.items():
-        p = partitions[dst % n_parts]
-        p.inbox[dst] = list(msgs)
-        p.active.add(dst)  # a pending message activates its target
-    for vid in initial_active:
-        partitions[vid % n_parts].active.add(vid)
-    return partitions
-
-
-def _step_partition(p: _Partition, g: SuperGraph, analysis: Analysis, classic: bool,
-                    snapshot: dict[VertexId, Fact | None],
-                    bases: dict[VertexId, Fact], n_parts: int):
-    """Process one partition's active vertices for one superstep.
-
-    Touches only partition-local state plus read-only shared structures;
-    facts that cross a partition boundary are copied (value semantics).
-    """
-    outgoing: list[tuple[VertexId, VertexId, Fact]] = []
-    activated: list[VertexId] = []
-    changed: list[tuple[VertexId, Fact]] = []
-    traffic = 0
-    updates = 0
-    for k in sorted(p.active):
-        if classic:
-            gathered = []
-            for q in g.preds(k):  # preds are id-sorted: canonical merge order
-                out_q = snapshot[q]
-                if out_q is not None:
-                    gathered.append(out_q.copy() if q % n_parts != p.pid else out_q)
-            traffic += len(gathered)
-            new_in = analysis.merge(gathered, bases[k])
-        else:
-            msgs = p.inbox.pop(k, [])
-            msgs.sort(key=lambda m: m[0])
-            new_in = analysis.merge([fact for (_, fact) in msgs], p.in_facts[k])
-        new_out = analysis.transfer(g.vertices[k].stmts, new_in)
-        p.in_facts[k] = new_in
-        if analysis.propagate(p.out_facts[k], new_out):
-            p.out_facts[k] = new_out
-            updates += 1
-            succs = g.succs(k)
+    while active:
+        if supersteps >= cap:
+            raise NonConvergenceError(
+                f"no fixed point after {supersteps} supersteps "
+                f"(cap {cap}); the analysis may not be monotone",
+                steps=supersteps)
+        supersteps += 1
+        active_counts.append(len(active))
+        next_active: set[VertexId] = set()
+        next_inbox: dict[VertexId, list[tuple[VertexId, Fact]]] = {}
+        changed: list[tuple[VertexId, Fact]] = []
+        for k in sorted(active):
             if classic:
-                changed.append((k, new_out))
-                activated.extend(succs)
+                # preds are id-sorted: canonical merge order
+                gathered = [snapshot[q] for q in g.preds(k) if snapshot[q] is not None]
+                messages_sent += len(gathered)
+                new_in = analysis.merge(gathered, bases[k])
             else:
-                for d in succs:
-                    fact = new_out.copy() if d % n_parts != p.pid else new_out
-                    outgoing.append((d, k, fact))
-                traffic += len(succs)
-    p.active = set()
-    return outgoing, activated, changed, traffic, updates
+                new_in = analysis.merge([fact for (_, fact) in inbox.get(k, ())],
+                                        in_facts[k])
+            new_out = analysis.transfer(g.vertices[k].stmts, new_in)
+            in_facts[k] = new_in
+            if analysis.propagate(out_facts[k], new_out):
+                out_facts[k] = new_out
+                fact_updates += 1
+                succs = g.succs(k)
+                next_active.update(succs)
+                if classic:
+                    changed.append((k, new_out))
+                else:
+                    for d in succs:
+                        next_inbox.setdefault(d, []).append((k, new_out))
+                    messages_sent += len(succs)
+        # Barrier: what superstep t produced becomes visible in t+1.
+        snapshot.update(changed)
+        inbox = next_inbox
+        active = next_active
+
+    return AnalysisResult(
+        in_facts=in_facts,
+        out_facts={vid: analysis.initial() if out is None else out
+                   for vid, out in out_facts.items()},
+        supersteps=supersteps, messages_sent=messages_sent,
+        fact_updates=fact_updates, active_per_superstep=active_counts)

@@ -43,6 +43,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cfg import (
+    _ADD_KINDS,
+    _CHANGE_KINDS,
+    _DELETE_KINDS,
     ChangeBatch,
     ChangeKind,
     SuperGraph,
@@ -90,16 +93,10 @@ class IncrementalRun:
     purged: frozenset[VertexId]
 
 
-_SEED_BUCKET = {
-    ChangeKind.ADD_EDGE: _ADD,
-    ChangeKind.ADD_SOURCE_NODE: _ADD,
-    ChangeKind.ADD_DEST_NODE: _ADD,
-    ChangeKind.DELETE_EDGE: _DELETE,
-    ChangeKind.DELETE_SOURCE_NODE: _DELETE,
-    ChangeKind.DELETE_DEST_NODE: _DELETE,
-    ChangeKind.CHANGE_SOURCE_NODE: _CHANGE,
-    ChangeKind.CHANGE_DEST_NODE: _CHANGE,
-}
+_SEED_BUCKET = {kind: bucket
+                for kinds, bucket in ((_ADD_KINDS, _ADD), (_DELETE_KINDS, _DELETE),
+                                      (_CHANGE_KINDS, _CHANGE))
+                for kind in kinds}
 
 
 def _seed_targets(change) -> tuple[VertexId, ...]:

@@ -14,8 +14,9 @@ A client supplies a lattice of facts plus three functions:
   computed" sentinel, and propagate must return True in that case -- the
   engines rely on the first computation at a vertex always propagating.
 
-Facts are immutable once handed to an engine; all three functions must be
-pure so they can run concurrently on several workers.
+Facts are immutable once handed to an engine, and all three functions must
+be pure: they may not mutate their arguments. The engines rely on this to
+hand one fact object to every successor without copying it.
 
 ``entry_fact`` is the value assumed to flow into CFG entry vertices. For
 most analyses it coincides with ``initial()``; it exists separately because
@@ -49,14 +50,11 @@ class Direction(Enum):
 class Fact(Protocol):
     """What the engines require of a client fact value.
 
-    Equality (``==``) decides propagation and result comparison, ``copy``
-    provides value semantics across partition boundaries, and ``leq`` is the
-    lattice partial order (reflexive, anti-symmetric, transitive). The
-    engines themselves never call ``leq``; it exists so monotonicity and
-    ordering properties are testable.
+    Equality (``==``) decides propagation and result comparison, and
+    ``leq`` is the lattice partial order (reflexive, anti-symmetric,
+    transitive). The engines themselves never call ``leq``; it exists so
+    monotonicity and ordering properties are testable.
     """
-
-    def copy(self) -> "Fact": ...
 
     def leq(self, other: "Fact") -> bool: ...
 

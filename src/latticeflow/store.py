@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 from .cfg import VertexId
 from .errors import (
@@ -83,9 +83,13 @@ class FactStore:
 
     @staticmethod
     def read_fingerprint(path: str | Path) -> str:
-        """The fingerprint recorded in a store file, without opening it."""
-        _, fingerprint = _read_snapshot(Path(path))
-        return fingerprint
+        """The fingerprint recorded in a store file; reads only the header."""
+        path = Path(path)
+        try:
+            with open(path, "rb") as fh:
+                return _read_header(fh, path)
+        except OSError as exc:
+            raise StoreIOError(f"cannot read store {path}: {exc}") from exc
 
     @property
     def analysis(self) -> Analysis:
@@ -170,19 +174,36 @@ def _render_snapshot(entries: dict[StoreKey, bytes], fingerprint: str) -> bytes:
     return b"".join(chunks)
 
 
+def _read_header(fh: BinaryIO, path: Path) -> str:
+    """Parse the header at the start of ``fh`` and return its fingerprint.
+
+    Leaves ``fh`` positioned at the first record.
+    """
+    head = fh.read(len(_MAGIC) + _HEADER.size)
+    if head[:len(_MAGIC)] != _MAGIC:
+        raise StoreError(f"{path} is not a fact store (bad magic)")
+    if len(head) < len(_MAGIC) + _HEADER.size:
+        raise StoreError(f"{path} is truncated")
+    (fp_len,) = _HEADER.unpack_from(head, len(_MAGIC))
+    # Check the length against the file before reading, so that a corrupt
+    # length cannot make the read allocate gigabytes.
+    if fh.tell() + fp_len > os.fstat(fh.fileno()).st_size:
+        raise StoreError(f"{path} is truncated")
+    try:
+        return fh.read(fp_len).decode("utf-8")
+    except UnicodeDecodeError:
+        raise StoreError(f"{path} has a fingerprint that is not UTF-8") from None
+
+
 def _read_snapshot(path: Path) -> tuple[dict[StoreKey, bytes], str]:
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:
+            fingerprint = _read_header(fh, path)
+            blob = fh.read()
     except OSError as exc:
         raise StoreIOError(f"cannot read store {path}: {exc}") from exc
     view = memoryview(blob)
-    if bytes(view[:len(_MAGIC)]) != _MAGIC:
-        raise StoreError(f"{path} is not a fact store (bad magic)")
-    offset = len(_MAGIC)
-    (fp_len,) = _HEADER.unpack_from(view, offset)
-    offset += _HEADER.size
-    fingerprint = bytes(view[offset:offset + fp_len]).decode("utf-8")
-    offset += fp_len
+    offset = 0
     entries: dict[StoreKey, bytes] = {}
     while offset < len(view):
         if offset + _RECORD.size > len(view):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +222,73 @@ def test_report_file_matches_stdout(capsys, tmp_path):
 def test_usage_error_exits_2(capsys):
     assert cli.main(["analyze"]) == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+_REQUIRED = {
+    "analyze": ("--cfg", "a.cfg", "--analysis", "rd", "--store", "a.store"),
+    "incremental": ("--cfg", "a.cfg", "--changes", "a.changes", "--store", "a.store"),
+    "verify": ("--cfg", "a.cfg", "--analysis", "rd"),
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("analyze", "--workers", "0"),
+    ("analyze", "--workers", "two"),
+    ("analyze", "--superstep-cap", "0"),
+    ("incremental", "--workers", "-1"),
+    ("incremental", "--superstep-cap", "0"),
+    ("verify", "--workers", "0"),
+])
+def test_bad_count_flag_is_a_usage_error(capsys, command, flag, value):
+    code, _, err = _run(capsys, command, *_REQUIRED[command], flag, value)
+    assert code == cli.EXIT_USAGE
+    assert f"error: argument {flag}" in err
+
+
+def _empty_changes(tmp_path):
+    changes = tmp_path / "none.changes"
+    changes.write_text("")
+    return changes
+
+
+def _incremental_on(capsys, store_path, changes):
+    return _run(capsys, "incremental", "--cfg", str(fixture_path("diamond_rd.cfg")),
+                "--changes", str(changes), "--store", str(store_path))
+
+
+def test_incremental_on_truncated_store_header_exits_2(capsys, tmp_path):
+    store_path, _ = _analyze(capsys, tmp_path, "diamond_rd.cfg", "rd")
+    blob = store_path.read_bytes()
+    header_len = len(b"LFSTORE1") + 4 + len(lf.reaching_defs().fingerprint())
+    changes = _empty_changes(tmp_path)
+    for cut in range(header_len):
+        store_path.write_bytes(blob[:cut])
+        code, _, err = _incremental_on(capsys, store_path, changes)
+        assert code == cli.EXIT_USAGE, cut
+        assert err.startswith("error:"), cut
+
+
+def test_incremental_on_non_utf8_fingerprint_exits_2(capsys, tmp_path):
+    store_path, _ = _analyze(capsys, tmp_path, "diamond_rd.cfg", "rd")
+    blob = bytearray(store_path.read_bytes())
+    start = len(b"LFSTORE1") + 4
+    fp_len = len(lf.reaching_defs().fingerprint())
+    blob[start:start + fp_len] = b"\xff" * fp_len
+    store_path.write_bytes(bytes(blob))
+    code, _, err = _incremental_on(capsys, store_path, _empty_changes(tmp_path))
+    assert code == cli.EXIT_USAGE
+    assert "not UTF-8" in err
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    store = tmp_path / "m.store"
+    src = str(Path(lf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticeflow.cli", "analyze",
+         "--cfg", str(fixture_path("chain10.cfg")), "--analysis", "rd",
+         "--store", str(store)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert store.exists()

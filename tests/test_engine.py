@@ -185,14 +185,16 @@ def test_partition_independence(make):
     analysis = make()
     for _ in range(6):
         g = random_graph(rng, max_vertices=25, max_edges=60)
-        reference = None
+        reference = reports = None
         for workers in (1, 2, 4, 8):
             r = lf.run_optimized(g, analysis, lf.EngineConfig(worker_count=workers))
             c = lf.run_classic(g, analysis, lf.EngineConfig(worker_count=workers))
             if reference is None:
                 reference = r
+                reports = (r.to_report(), c.to_report())
             assert r.facts_equal(reference)
             assert c.facts_equal(reference)
+            assert (r.to_report(), c.to_report()) == reports
 
 
 @pytest.mark.parametrize("make", [lf.reaching_defs, lf.const_prop, lf.lru_must_cache])

@@ -96,6 +96,17 @@ def test_read_fingerprint(tmp_path):
     assert lf.FactStore.read_fingerprint(path) == analysis.fingerprint()
 
 
+def test_read_fingerprint_reads_only_the_header(tmp_path):
+    path = tmp_path / "facts.store"
+    analysis = lf.reaching_defs()
+    store = lf.FactStore.create(path, analysis)
+    store.batch_put([(StoreKey(1, Slot.OUT), _rd(("d1", "x")))])
+    path.write_bytes(path.read_bytes()[:-1])  # cut into the last record
+    assert lf.FactStore.read_fingerprint(path) == analysis.fingerprint()
+    with pytest.raises(lf.StoreError, match="truncated"):
+        lf.FactStore.open(path, analysis)
+
+
 def test_decode_error_carries_key():
     store = lf.FactStore.in_memory(lf.reaching_defs())
     key = StoreKey(5, Slot.IN)

@@ -88,6 +88,12 @@ class SuperGraph:
     def succs(self, vid: VertexId) -> tuple[VertexId, ...]:
         return self._succs[vid]
 
+    def has_edge(self, u: VertexId, v: VertexId) -> bool:
+        return (u, v) in self.edges
+
+    def __contains__(self, vid: object) -> bool:
+        return vid in self.vertices
+
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -256,39 +262,43 @@ class _RawEdits:
     added_edges: set[tuple[VertexId, VertexId]]
 
 
-def _classify_edits(old: SuperGraph, raw: _RawEdits) -> ChangeBatch:
+def _classify_edits(old: SuperGraph | _OldFromNew, raw: _RawEdits) -> ChangeBatch:
     """Normalize raw edits into the canonical atomic change sequence.
 
     Order is deletions, then payload changes, then additions; within the
     additions each new vertex is created before any edge that needs it.
+    Of the old version it reads only vertex and edge membership and the
+    sorted neighbours of deleted and changed vertices.
     """
-    surviving = set(old.vertices) - raw.deleted_nodes
+    def surviving(x: VertexId) -> bool:
+        return x in old and x not in raw.deleted_nodes
+
     batch: list[AtomicChange] = []
 
     for (u, v) in sorted(raw.deleted_edges):
-        if (u, v) not in old.edges:
+        if not old.has_edge(u, v):
             raise ChangeConflictError(f"cannot delete missing edge ({u}, {v})")
-        if u not in surviving or v not in surviving:
+        if not surviving(u) or not surviving(v):
             raise ChangeConflictError(
                 f"edge ({u}, {v}) is already removed by a node deletion")
         batch.append(AtomicChange(ChangeKind.DELETE_EDGE, u=u, v=v))
     for x in sorted(raw.deleted_nodes):
-        if x not in old.vertices:
+        if x not in old:
             raise ChangeConflictError(f"cannot delete unknown vertex {x}")
         emitted = False
         for s in old.succs(x):
-            if s in surviving:
+            if surviving(s):
                 batch.append(AtomicChange(ChangeKind.DELETE_SOURCE_NODE, u=x, v=s))
                 emitted = True
         for p in old.preds(x):
-            if p in surviving:
+            if surviving(p):
                 batch.append(AtomicChange(ChangeKind.DELETE_DEST_NODE, u=p, v=x))
                 emitted = True
         if not emitted:
             batch.append(AtomicChange(ChangeKind.DELETE_DEST_NODE, u=None, v=x))
 
     for x in sorted(raw.changed_nodes):
-        if x not in old.vertices:
+        if x not in old:
             raise ChangeConflictError(f"cannot change unknown vertex {x}")
         if x in raw.deleted_nodes:
             raise ChangeConflictError(f"vertex {x} is both deleted and changed")
@@ -299,13 +309,16 @@ def _classify_edits(old: SuperGraph, raw: _RawEdits) -> ChangeBatch:
 
     consumed: set[tuple[VertexId, VertexId]] = set()
     created: set[VertexId] = set()
+
+    def available(w: VertexId) -> bool:
+        return surviving(w) or w in created
+
     for x in sorted(raw.added_nodes):
-        if x in old.vertices:
+        if x in old:
             raise ChangeConflictError(f"vertex id {x} already exists")
         payload = raw.added_nodes[x]
-        available = surviving | created
-        in_avail = sorted(w for (w, y) in raw.added_edges if y == x and w in available)
-        out_avail = sorted(w for (y, w) in raw.added_edges if y == x and w in available)
+        in_avail = sorted(w for (w, y) in raw.added_edges if y == x and available(w))
+        out_avail = sorted(w for (y, w) in raw.added_edges if y == x and available(w))
         if in_avail:
             batch.append(AtomicChange(ChangeKind.ADD_DEST_NODE, u=in_avail[0], v=x,
                                       payload=payload))
@@ -320,7 +333,7 @@ def _classify_edits(old: SuperGraph, raw: _RawEdits) -> ChangeBatch:
         created.add(x)
     for (u, v) in sorted(raw.added_edges - consumed):
         for endpoint in (u, v):
-            if endpoint not in surviving and endpoint not in created:
+            if not available(endpoint):
                 raise ChangeConflictError(
                     f"added edge ({u}, {v}) references unknown vertex {endpoint}")
         batch.append(AtomicChange(ChangeKind.ADD_EDGE, u=u, v=v))
@@ -518,25 +531,57 @@ def parse_changes(text: str, old: SuperGraph) -> ChangeBatch:
     return _classify_edits(old, raw)
 
 
+class _OldFromNew:
+    """The old version's structure, answered from the updated graph and the
+    change lines without building the old graph.
+
+    Old vertices are the new ones minus additions plus deletions; old edges
+    are the new ones minus added edges plus every recorded ``DE`` edge,
+    each with both endpoints in the old version. Only the queries
+    ``_classify_edits`` makes are answered, each in time proportional to
+    the vertex's degree.
+    """
+
+    def __init__(self, new: SuperGraph, raw: _RawEdits,
+                 all_deleted_edges: set[tuple[VertexId, VertexId]]):
+        self._new = new
+        self._raw = raw
+        self._deleted_out: dict[VertexId, list[VertexId]] = {}
+        self._deleted_in: dict[VertexId, list[VertexId]] = {}
+        for (u, v) in all_deleted_edges:
+            self._deleted_out.setdefault(u, []).append(v)
+            self._deleted_in.setdefault(v, []).append(u)
+
+    def __contains__(self, vid: object) -> bool:
+        return ((vid in self._new and vid not in self._raw.added_nodes)
+                or vid in self._raw.deleted_nodes)
+
+    def has_edge(self, u: VertexId, v: VertexId) -> bool:
+        if u not in self or v not in self:
+            return False
+        return (v in self._deleted_out.get(u, ())
+                or (self._new.has_edge(u, v) and (u, v) not in self._raw.added_edges))
+
+    def succs(self, vid: VertexId) -> tuple[VertexId, ...]:
+        kept = self._new.succs(vid) if vid in self._new else ()
+        recorded = self._deleted_out.get(vid, ())
+        return tuple(sorted({v for v in (*kept, *recorded) if self.has_edge(vid, v)}))
+
+    def preds(self, vid: VertexId) -> tuple[VertexId, ...]:
+        kept = self._new.preds(vid) if vid in self._new else ()
+        recorded = self._deleted_in.get(vid, ())
+        return tuple(sorted({u for u in (*kept, *recorded) if self.has_edge(u, vid)}))
+
+
 def parse_changes_for_new(text: str, new: SuperGraph) -> ChangeBatch:
     """Parse a change file given only the *updated* graph.
 
-    Change files are self-contained enough to recover the old structure
-    the classifier needs: old vertices are the new ones minus additions
-    plus deletions, and old edges are the new ones minus added edges plus
-    every recorded ``DE`` edge. Deleted vertices get placeholder payloads;
-    only adjacency and existence matter for classification.
+    Change files are self-contained enough to recover what the classifier
+    needs of the old version (see ``_OldFromNew``); only adjacency and
+    existence matter for classification, never an old payload.
     """
     raw, all_deleted_edges = _collect_change_lines(text)
-    placeholder = VertexAttribute(stmts=())
-    vertices: dict[VertexId, VertexAttribute] = {
-        vid: attr for vid, attr in new.vertices.items() if vid not in raw.added_nodes}
-    for vid in raw.deleted_nodes:
-        vertices[vid] = placeholder
-    edges = (set(new.edges) - raw.added_edges) | all_deleted_edges
-    edges = {(u, v) for (u, v) in edges if u in vertices and v in vertices}
-    old_skeleton = SuperGraph(vertices, edges)
-    return _classify_edits(old_skeleton, raw)
+    return _classify_edits(_OldFromNew(new, raw, all_deleted_edges), raw)
 
 
 def render_changes(batch: ChangeBatch) -> str:

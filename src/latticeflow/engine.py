@@ -126,9 +126,13 @@ def seed_and_run(g: SuperGraph, analysis: Analysis, config: EngineConfig,
     """The optimized algorithm with caller-supplied superstep-0 state.
 
     ``initial_in``/``initial_out`` must cover exactly ``g``'s vertices;
-    message targets and active vertices must belong to ``g``. Message
-    sender ids may lie outside the graph (facts seeded from storage for
-    boundary predecessors); they only canonicalize gather order.
+    message targets and active vertices must belong to ``g``. An
+    ``initial_out`` of ``None`` marks a vertex as never computed, as in a
+    whole-program run: its first result always propagates, so it need not
+    be active at superstep 0 if a predecessor will push to it. Every
+    message target is active at superstep 0. Message sender ids may lie
+    outside the graph (facts seeded from storage for boundary
+    predecessors); they only canonicalize gather order.
     """
     vids = set(g.vertices)
     if set(initial_in) != vids:

@@ -14,10 +14,9 @@ the unaffected region keeps its previous facts untouched.
 
 Two update strategies share that pipeline:
 
-* naive -- one closure over all seeds. Every affected vertex restarts from
-  the initial element; for each affected vertex with an unaffected
-  predecessor, the predecessor's stored outgoing fact is seeded as a
-  pending message.
+* naive -- one closure over all seeds. Every affected vertex is reset;
+  for each affected vertex with an unaffected predecessor, the
+  predecessor's stored outgoing fact is seeded as a pending message.
 * optimized -- three closures (run as a single labeled pass) split the
   affected set by what reached it: additions, deletions, changes. A vertex
   reached only by additions still satisfies the old fixed point from below
@@ -28,12 +27,24 @@ Two update strategies share that pipeline:
   messages from predecessors that are unaffected or warm-started. Vertices
   new in this version have nothing stored and always reset.
 
+A reset vertex starts the way every vertex starts in a whole-program run:
+incoming fact the initial element (the entry fact at an entry), outgoing
+fact the engine's never-computed sentinel. Only the frontier computes at
+superstep 0 -- reset entries and the targets of seeded boundary messages;
+every other reset vertex computes when its predecessor's first fact
+arrives, which the sentinel guarantees is pushed. So a reset region costs
+what analysing it from scratch costs, not that plus a round of premature
+computations on half-known facts. Warm-started vertices all compute at
+superstep 0: a stored outgoing fact equals the transfer of the stored
+incoming fact only where the old version reached the vertex, and one that
+no entry reached there still holds the initial element.
+
 Affected vertices that are unreachable from the updated graph's entries
 stay inert: a whole-program worklist never processes them, so they are
-reset to the initial element and left inactive rather than force-computed.
+reset, get no messages and end with the initial element.
 
-Both strategies finish by writing the affected vertices' facts back to the
-store and purging deleted vertices; the resulting store equals a
+Both strategies finish with one store commit that writes the affected
+vertices' facts and purges deleted vertices; the resulting store equals a
 from-scratch analysis of the updated graph.
 """
 
@@ -257,7 +268,7 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
     live_reuse = impact.reuse & reachable
 
     initial_in: dict[VertexId, Fact] = {}
-    initial_out: dict[VertexId, Fact] = {}
+    initial_out: dict[VertexId, Fact | None] = {}
     if live_reuse:
         stored_keys = []
         for k in sorted(live_reuse):
@@ -276,7 +287,7 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
             continue
         initial_in[k] = (analysis.entry_fact() if k in new_graph.entries
                          else analysis.initial())
-        initial_out[k] = analysis.initial()
+        initial_out[k] = None  # never computed: its first result propagates
 
     messages: dict[VertexId, list[tuple[VertexId, Fact]]] = {}
     wanted: list[tuple[VertexId, VertexId]] = []
@@ -293,11 +304,16 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
                     f"no stored outgoing fact for boundary predecessor {p} of {k}")
             messages.setdefault(k, []).append((p, fact))
 
+    # Reset vertices start like a whole-program run: only entries and the
+    # targets of boundary messages compute at superstep 0, and every other
+    # reset vertex waits for its first pushed fact. Warm-started vertices
+    # all compute, because a stored OUT need not equal transfer(stored IN):
+    # a vertex unreachable in the old version still holds the initial
+    # element there.
+    active = sorted(live_reuse | (impact.affected_all & new_graph.entries))
     result = seed_and_run(impact.sub_graph, analysis, config,
-                          initial_in, initial_out, messages,
-                          [k for k in affected if k in reachable])
+                          initial_in, initial_out, messages, active)
 
-    write_result(store, result.in_facts, result.out_facts)
     purged = deleted_vertices(batch)
-    store.purge(purged)
+    write_result(store, result.in_facts, result.out_facts, purge=purged)
     return IncrementalRun(impact=impact, result=result, purged=purged)

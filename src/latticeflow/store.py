@@ -113,23 +113,28 @@ class FactStore:
     def get(self, key: StoreKey) -> Fact | None:
         return self.batch_get([key])[0]
 
-    def batch_put(self, pairs: Iterable[tuple[StoreKey, Fact]]) -> None:
-        """Write pairs with all-or-nothing visibility; later duplicates win."""
-        staged = dict(self._entries)
+    def batch_put(self, pairs: Iterable[tuple[StoreKey, Fact]],
+                  purge: Iterable[VertexId] = ()) -> None:
+        """Write pairs and drop both slots of each ``purge`` vertex in one
+        all-or-nothing commit; later duplicates win, and a purged vertex
+        keeps no slot even if ``pairs`` names it."""
+        doomed = set(purge)
+        if doomed:
+            staged = {key: data for key, data in self._entries.items()
+                      if key.vertex not in doomed}
+        else:
+            staged = dict(self._entries)
         for key, fact in pairs:
-            staged[key] = self._analysis.encode(fact)
+            if key.vertex not in doomed:
+                staged[key] = self._analysis.encode(fact)
         self._commit(staged)
         self._entries = staged
 
     def purge(self, vertices: Iterable[VertexId]) -> None:
         """Drop both slots of each vertex; absent vertices are a no-op."""
         doomed = set(vertices)
-        if not doomed:
-            return
-        staged = {key: data for key, data in self._entries.items()
-                  if key.vertex not in doomed}
-        self._commit(staged)
-        self._entries = staged
+        if doomed:
+            self.batch_put((), doomed)
 
     def keys(self) -> list[StoreKey]:
         return sorted(self._entries, key=StoreKey.sort_key)
@@ -153,13 +158,15 @@ class FactStore:
 
 
 def write_result(store: FactStore, in_facts: dict[VertexId, Fact],
-                 out_facts: dict[VertexId, Fact]) -> None:
-    """Store both slots for every vertex of an analysis result."""
+                 out_facts: dict[VertexId, Fact],
+                 purge: Iterable[VertexId] = ()) -> None:
+    """Store both slots for every vertex of an analysis result and drop the
+    ``purge`` vertices, in one commit."""
     pairs = []
     for vid in sorted(in_facts):
         pairs.append((StoreKey(vid, Slot.IN), in_facts[vid]))
         pairs.append((StoreKey(vid, Slot.OUT), out_facts[vid]))
-    store.batch_put(pairs)
+    store.batch_put(pairs, purge)
 
 
 def _render_snapshot(entries: dict[StoreKey, bytes], fingerprint: str) -> bytes:

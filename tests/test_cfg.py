@@ -147,6 +147,26 @@ def test_change_file_round_trip_random():
         assert lf.parse_changes_for_new(text, new) == batch
 
 
+def test_change_file_round_trip_delete_add_and_change_in_one_batch():
+    old = lf.parse_graph(DIAMOND + "V 5 use y\nE 4 5\n")
+    vertices = {vid: attr for vid, attr in old.vertices.items() if vid != 2}
+    vertices[3] = lf.VertexAttribute(stmts=(lf.UseStmt("x"),))  # CN 3
+    vertices[5] = lf.VertexAttribute(stmts=(lf.DefStmt("y", "d5"),))  # CN 5, no succs
+    vertices[6] = lf.VertexAttribute(stmts=(lf.DefStmt("z", "d6"),))  # AN 6
+    vertices[7] = lf.VertexAttribute(stmts=())  # AN 7, isolated
+    new = lf.SuperGraph(vertices, {(1, 3), (3, 4), (4, 5), (1, 6), (6, 4), (5, 3)})
+    batch = lf.diff_graphs(old, new)
+    assert {c.kind for c in batch} == {
+        ChangeKind.DELETE_SOURCE_NODE, ChangeKind.DELETE_DEST_NODE,
+        ChangeKind.CHANGE_SOURCE_NODE, ChangeKind.CHANGE_DEST_NODE,
+        ChangeKind.ADD_DEST_NODE, ChangeKind.ADD_EDGE}
+    text = lf.render_changes(batch)
+    assert {line.split()[0] for line in text.splitlines()} == {"DN", "DE", "CN", "AN", "AE"}
+    assert lf.parse_changes(text, old) == batch
+    assert lf.parse_changes_for_new(text, new) == batch
+    assert lf.apply_changes(old, batch) == new
+
+
 def test_change_classification_covers_all_kinds():
     rng = random.Random(17)
     seen = set()

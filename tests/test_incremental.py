@@ -330,3 +330,77 @@ def test_deleted_vertex_facts_are_purged_only_on_success():
         lf.run_incremental_naive(new, batch, store, analysis, lf.EngineConfig())
     # The failed run must not have purged the deleted vertex's facts.
     assert store.get(StoreKey(2, Slot.OUT)) is not None
+
+
+@pytest.mark.parametrize("make", ANALYSES)
+@pytest.mark.parametrize("runner", [lf.run_incremental_naive,
+                                    lf.run_incremental_optimized])
+def test_edge_into_region_unreachable_before(make, runner):
+    # The {3, 4} cycle was unreachable, so its stored OUT facts are the
+    # initial element, not transfer(IN). Adding 2 -> 3 reaches it by an
+    # addition only: the optimized mode warm-starts both vertices, and
+    # vertex 4 gets no message, so it must still compute at superstep 0.
+    old = lf.parse_graph("""
+V 1 entry use x
+V 2 use x
+V 3 use x
+V 4 def x d4
+E 1 2
+E 3 4
+E 4 3
+""")
+    new = lf.SuperGraph(old.vertices, set(old.edges) | {(2, 3)})
+    batch = lf.diff_graphs(old, new)
+    analysis = make()
+    store = _converged_store(old, analysis)
+    runner(new, batch, store, analysis, lf.EngineConfig())
+    assert store.snapshot() == _scratch_snapshot(new, analysis)
+
+
+@pytest.mark.parametrize("make", ANALYSES)
+@pytest.mark.parametrize("runner", [lf.run_incremental_naive,
+                                    lf.run_incremental_optimized])
+def test_full_reset_costs_what_a_scratch_run_costs(make, runner):
+    # Changing the entry of a chain resets every vertex. Only the entry
+    # computes at superstep 0; each other vertex computes once, when its
+    # predecessor's first fact arrives -- exactly as in a whole-program run.
+    n = 100
+    text = "".join(f"V {k} def x d{k}\n" for k in range(1, n + 1))
+    text += "".join(f"E {k} {k + 1}\n" for k in range(1, n))
+    old = lf.parse_graph(text)
+    vertices = dict(old.vertices)
+    vertices[1] = lf.VertexAttribute(stmts=(lf.DefStmt("y", "d0"),))
+    new = lf.SuperGraph(vertices, old.edges)
+    batch = lf.parse_changes_for_new("CN 1 def y d0\n", new)
+    assert batch == lf.diff_graphs(old, new)
+    analysis = make()
+    store = _converged_store(old, analysis)
+    run = runner(new, batch, store, analysis, lf.EngineConfig())
+    assert run.impact.affected_all == set(new.vertices)
+    scratch = lf.run_optimized(new, analysis, lf.EngineConfig())
+    counts = (run.result.supersteps, run.result.messages_sent, run.result.fact_updates)
+    assert counts == (scratch.supersteps, scratch.messages_sent, scratch.fact_updates)
+    assert counts == (n, n - 1, n)
+    assert store.snapshot() == _scratch_snapshot(new, analysis)
+
+
+def test_incremental_run_commits_the_store_once(tmp_path, monkeypatch):
+    # Writing the re-analysed facts and purging the deleted vertex are one
+    # staged commit: the store file is rendered and renamed once.
+    old, new, batch = _example()
+    analysis = lf.reaching_defs()
+    path = tmp_path / "facts.store"
+    store = lf.FactStore.create(path, analysis)
+    result = lf.run_optimized(old, analysis, lf.EngineConfig())
+    lf.write_result(store, result.in_facts, result.out_facts)
+    commits = []
+    original = lf.FactStore._commit
+    monkeypatch.setattr(lf.FactStore, "_commit",
+                        lambda self, *a: commits.append(1) or original(self, *a))
+    run = lf.run_incremental_optimized(new, batch, store, analysis, lf.EngineConfig())
+    assert run.purged == {2}
+    assert len(commits) == 1
+    fresh = lf.FactStore.create(tmp_path / "fresh.store", analysis)
+    scratch = lf.run_optimized(new, analysis, lf.EngineConfig())
+    lf.write_result(fresh, scratch.in_facts, scratch.out_facts)
+    assert path.read_bytes() == (tmp_path / "fresh.store").read_bytes()

@@ -147,3 +147,26 @@ def test_snapshot_bytes_are_canonical(tmp_path):
     b = lf.FactStore.create(b_path, analysis)
     b.batch_put(list(reversed(pairs)))
     assert a_path.read_bytes() == b_path.read_bytes()
+
+
+def test_batch_put_with_purge_is_one_commit(tmp_path, monkeypatch):
+    analysis = lf.reaching_defs()
+    pairs = [(StoreKey(i, slot), _rd((f"d{i}", "x")))
+             for i in range(6) for slot in (Slot.IN, Slot.OUT)]
+    a_path, b_path = tmp_path / "a.store", tmp_path / "b.store"
+    a = lf.FactStore.create(a_path, analysis)
+    a.batch_put(pairs)
+    b = lf.FactStore.create(b_path, analysis)
+    b.batch_put(pairs)
+    update = [(StoreKey(1, Slot.OUT), _rd(("d9", "y"))),
+              (StoreKey(4, Slot.IN), _rd(("d8", "z")))]
+    a.batch_put(update)
+    a.purge({2, 4, 42})
+    renames = []
+    original = os.replace
+    monkeypatch.setattr(os, "replace",
+                        lambda src, dst: renames.append(dst) or original(src, dst))
+    b.batch_put(update, purge={2, 4, 42})  # a purged vertex keeps no slot
+    assert len(renames) == 1
+    assert b.get(StoreKey(4, Slot.IN)) is None
+    assert a_path.read_bytes() == b_path.read_bytes()

@@ -251,45 +251,55 @@ class LruMustCache(Analysis):
             reached.append(old_in)
         if not reached:
             return old_in
-        acc = [dict(s) for s in reached[0].sets]
+        if len(reached) == 1:
+            return reached[0]
+        # Facts are immutable, so a set dict the meet leaves alone is shared.
+        acc = list(reached[0].sets)
         for f in reached[1:]:
-            for idx in range(self.sets):
-                theirs = f.sets[idx]
-                acc[idx] = {block: max(age, theirs[block])
-                            for block, age in acc[idx].items() if block in theirs}
+            for idx, theirs in enumerate(f.sets):
+                mine = acc[idx]
+                if mine is not theirs:
+                    acc[idx] = {block: max(age, theirs[block])
+                                for block, age in mine.items() if block in theirs}
         return CacheFact(False, tuple(acc))
 
     def transfer(self, stmts: Stmts, in_fact: CacheFact) -> CacheFact:
         _check_stmts(stmts)
         if in_fact.unreached:
             return in_fact  # no path reaches here; nothing to model
-        sets = [dict(s) for s in in_fact.sets]
-        for s in stmts:
-            if isinstance(s, AccessStmt):
-                self._access(sets[s.block % self.sets], s.block)
+        accesses = [s.block for s in stmts if isinstance(s, AccessStmt)]
+        if not accesses:
+            return in_fact
+        sets = list(in_fact.sets)  # only the accessed sets are replaced
+        for block in accesses:
+            idx = block % self.sets
+            sets[idx] = self._access(sets[idx], block)
         return CacheFact(False, tuple(sets))
 
-    def _access(self, cache_set: dict[int, int], block: int) -> None:
+    def _access(self, cache_set: dict[int, int], block: int) -> dict[int, int]:
+        """The set after accessing ``block``, as a new dict."""
         old_age = cache_set.get(block)
         if old_age is not None:
             # Hit: only blocks younger than the accessed one grow older.
-            for b, age in list(cache_set.items()):
-                if age < old_age:
-                    cache_set[b] = age + 1
+            after = {b: age + 1 if age < old_age else age
+                     for b, age in cache_set.items()}
         else:
             # Miss: everything ages; bounds reaching the way count evict.
-            for b, age in list(cache_set.items()):
-                if age + 1 >= self.assoc:
-                    del cache_set[b]
-                else:
-                    cache_set[b] = age + 1
-        cache_set[block] = 0
+            after = {b: age + 1 for b, age in cache_set.items()
+                     if age + 1 < self.assoc}
+        after[block] = 0
+        return after
 
     def encode(self, fact: CacheFact) -> bytes:
+        # Writes what ``_canonical_json`` writes for {"sets": [{str(b): age}]}
+        # without building that object. Sorting whole '"b":age' items sorts
+        # by key: a key's closing quote sorts below every character of an id.
         if fact.unreached:
-            return _canonical_json({"unreached": True})
-        obj = {"sets": [{str(b): age for b, age in s.items()} for s in fact.sets]}
-        return _canonical_json(obj)
+            return b'{"unreached":true}'
+        sets = ",".join([
+            "{" + ",".join(sorted([f'"{b}":{age}' for b, age in s.items()])) + "}"
+            if s else "{}" for s in fact.sets])
+        return f'{{"sets":[{sets}]}}'.encode("ascii")
 
     def decode(self, data: bytes) -> CacheFact:
         obj = json.loads(data.decode("utf-8"))

@@ -36,6 +36,7 @@ from typing import Iterable, Mapping
 from .errors import (
     ChangeConflictError,
     DuplicateVertexError,
+    GraphError,
     GraphParseError,
     UnknownVertexError,
 )
@@ -71,7 +72,7 @@ class SuperGraph:
                 raise UnknownVertexError(f"edge ({u}, {v}) references unknown vertex {v}")
         preds: dict[VertexId, list[VertexId]] = {vid: [] for vid in self.vertices}
         succs: dict[VertexId, list[VertexId]] = {vid: [] for vid in self.vertices}
-        for (u, v) in sorted(self.edges):
+        for (u, v) in self.edges:
             succs[u].append(v)
             preds[v].append(u)
         self._preds = {vid: tuple(sorted(ps)) for vid, ps in preds.items()}
@@ -166,15 +167,24 @@ def parse_graph(text: str) -> SuperGraph:
 
 
 def render_graph(g: SuperGraph) -> str:
-    """Render a graph to the text format, deterministically ordered."""
+    """Render a graph to the text format, deterministically ordered.
+
+    Raises ``GraphError`` for a payload the format cannot carry.
+    """
     lines = []
     for vid in sorted(g.vertices):
-        attr = g.vertices[vid]
-        entry = "entry " if attr.is_entry else ""
-        lines.append(f"V {vid} {entry}{render_stmts(attr.stmts)}")
+        lines.append(f"V {vid} {_render_payload(g.vertices[vid])}")
     for (u, v) in sorted(g.edges):
         lines.append(f"E {u} {v}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _render_payload(attr: VertexAttribute) -> str:
+    try:
+        stmts = render_stmts(attr.stmts)
+    except ValueError as exc:  # e.g. two statements: the format carries one
+        raise GraphError(str(exc)) from None
+    return f"entry {stmts}" if attr.is_entry else stmts
 
 
 def _parse_vertex_id(token: str, lineno: int) -> VertexId:
@@ -590,14 +600,9 @@ def render_changes(batch: ChangeBatch) -> str:
     Node deletions collapse to one ``DN`` per vertex plus a ``DE`` line for
     each recorded incident edge, which keeps the file self-contained for
     ``parse_changes_for_new``; the per-edge decomposition is regenerated on
-    parse.
+    parse. Raises ``GraphError`` for a payload the format cannot carry.
     """
     lines: list[str] = []
-
-    def _payload(attr: VertexAttribute) -> str:
-        entry = "entry " if attr.is_entry else ""
-        return f"{entry}{render_stmts(attr.stmts)}"
-
     deleted_seen: set[VertexId] = set()
 
     def _note_deleted(x: VertexId) -> None:
@@ -617,12 +622,12 @@ def render_changes(batch: ChangeBatch) -> str:
                 lines.append(f"DE {c.u} {c.v}")
         elif c.kind in _CHANGE_KINDS:
             x = c.u if c.kind is ChangeKind.CHANGE_SOURCE_NODE else c.v
-            lines.append(f"CN {x} {_payload(c.payload)}")
+            lines.append(f"CN {x} {_render_payload(c.payload)}")
         elif c.kind is ChangeKind.ADD_SOURCE_NODE:
-            lines.append(f"AN {c.u} {_payload(c.payload)}")
+            lines.append(f"AN {c.u} {_render_payload(c.payload)}")
             lines.append(f"AE {c.u} {c.v}")
         elif c.kind is ChangeKind.ADD_DEST_NODE:
-            lines.append(f"AN {c.v} {_payload(c.payload)}")
+            lines.append(f"AN {c.v} {_render_payload(c.payload)}")
             if c.u is not None:
                 lines.append(f"AE {c.u} {c.v}")
         elif c.kind is ChangeKind.ADD_EDGE:

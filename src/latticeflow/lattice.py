@@ -16,7 +16,10 @@ A client supplies a lattice of facts plus three functions:
 
 Facts are immutable once handed to an engine, and all three functions must
 be pure: they may not mutate their arguments. The engines rely on this to
-hand one fact object to every successor without copying it.
+hand one fact object to every successor without copying it. For the same
+reason a client may return an argument it did not change, or build a new
+fact that shares the unchanged parts of one, and a fact store hands one
+decoded object to every key whose payload bytes are equal.
 
 ``entry_fact`` is the value assumed to flow into CFG entry vertices. For
 most analyses it coincides with ``initial()``; it exists separately because

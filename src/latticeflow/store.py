@@ -3,7 +3,9 @@
 A store maps ``(vertex, IN|OUT)`` keys to fact payloads serialized by the
 owning analysis; the store itself is payload-agnostic. Every store carries
 the analysis fingerprint it was written with and refuses readers with a
-different one.
+different one. Facts are immutable (see ``lattice``), so a batch read
+decodes each distinct payload once and shares the fact, and a batch write
+encodes a fact object once for consecutive pairs that hold it.
 
 Two backends share one class: in-memory (``path=None``) and file-backed.
 The file layout is a single snapshot: a header (magic, format version,
@@ -40,6 +42,9 @@ _RECORD = struct.Struct("<QBI")    # vertex id, slot code, payload byte length
 class Slot(Enum):
     IN = 0
     OUT = 1
+
+
+_SLOTS = (Slot.IN, Slot.OUT)  # indexed by slot code
 
 
 @dataclass(frozen=True)
@@ -96,18 +101,27 @@ class FactStore:
         return self._analysis
 
     def batch_get(self, keys: Sequence[StoreKey]) -> list[Fact | None]:
-        """Decoded facts positionally aligned with ``keys``; absent -> None."""
+        """Decoded facts positionally aligned with ``keys``; absent -> None.
+
+        Each distinct payload is decoded once per call: keys whose bytes are
+        equal get one shared (immutable) fact object.
+        """
+        decoded: dict[bytes, Fact] = {}
         out: list[Fact | None] = []
         for key in keys:
             data = self._entries.get(key)
             if data is None:
                 out.append(None)
                 continue
-            try:
-                out.append(self._analysis.decode(data))
-            except Exception as exc:
-                raise StoreDecodeError(f"cannot decode fact at {key}: {exc}",
-                                       key=key) from exc
+            fact = decoded.get(data)
+            if fact is None:
+                try:
+                    fact = self._analysis.decode(data)
+                except Exception as exc:
+                    raise StoreDecodeError(f"cannot decode fact at {key}: {exc}",
+                                           key=key) from exc
+                decoded[data] = fact
+            out.append(fact)
         return out
 
     def get(self, key: StoreKey) -> Fact | None:
@@ -124,9 +138,15 @@ class FactStore:
                       if key.vertex not in doomed}
         else:
             staged = dict(self._entries)
+        # Kernels hand on facts they do not change, so consecutive pairs (a
+        # vertex's IN and OUT, a chain's next IN) often hold one object.
+        last = data = None
         for key, fact in pairs:
-            if key.vertex not in doomed:
-                staged[key] = self._analysis.encode(fact)
+            if key.vertex in doomed:
+                continue
+            if data is None or fact is not last:
+                last, data = fact, self._analysis.encode(fact)
+            staged[key] = data
         self._commit(staged)
         self._entries = staged
 
@@ -219,10 +239,8 @@ def _read_snapshot(path: Path) -> tuple[dict[StoreKey, bytes], str]:
         offset += _RECORD.size
         if offset + size > len(view):
             raise StoreError(f"{path} is truncated")
-        try:
-            slot = Slot(slot_code)
-        except ValueError:
-            raise StoreError(f"{path} has an invalid slot code {slot_code}") from None
-        entries[StoreKey(vertex, slot)] = bytes(view[offset:offset + size])
+        if slot_code >= len(_SLOTS):
+            raise StoreError(f"{path} has an invalid slot code {slot_code}")
+        entries[StoreKey(vertex, _SLOTS[slot_code])] = bytes(view[offset:offset + size])
         offset += size
     return entries, fingerprint

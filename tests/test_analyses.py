@@ -223,6 +223,20 @@ def test_cache_merge_keeps_maximum_age():
     assert merged.sets[0] == {0: 1, 1: 1}
 
 
+def test_cache_kernels_share_what_they_do_not_change():
+    analysis = lf.lru_must_cache(sets=2, assoc=2)
+    fact = lf.CacheFact(False, ({0: 0}, {1: 1}))
+    assert analysis.transfer((lf.UseStmt("x"),), fact) is fact
+    assert analysis.merge([fact, analysis.initial()], analysis.initial()) is fact
+    out = analysis.transfer((lf.AccessStmt(2),), fact)
+    assert out.sets == ({2: 0, 0: 1}, {1: 1})
+    assert out.sets[1] is fact.sets[1]  # set 1 was not accessed
+    merged = analysis.merge([out, fact], analysis.initial())
+    assert merged.sets == ({0: 1}, {1: 1})
+    assert merged.sets[1] is fact.sets[1]  # both operands hold this dict
+    assert fact == lf.CacheFact(False, ({0: 0}, {1: 1}))
+
+
 def test_cache_abstract_hits_are_sound_on_random_lines():
     # Straight-line soundness against the concrete simulator; the
     # exhaustive sweep lives in the acceptance suite.

@@ -212,3 +212,25 @@ def test_entry_flag_change_is_a_node_change():
     assert len(batch) == 1
     assert batch[0].kind in {ChangeKind.CHANGE_SOURCE_NODE, ChangeKind.CHANGE_DEST_NODE}
     assert lf.apply_changes(g, batch) == flagged
+
+
+def test_adjacency_is_sorted_whatever_the_edge_order():
+    rng = random.Random(23)
+    vids = rng.sample(range(1000), 60)
+    edges = [(rng.choice(vids), rng.choice(vids)) for _ in range(300)]
+    rng.shuffle(edges)
+    g = lf.SuperGraph({vid: lf.VertexAttribute(()) for vid in vids}, edges)
+    for vid in vids:
+        assert g.preds(vid) == tuple(sorted({u for (u, v) in edges if v == vid}))
+        assert g.succs(vid) == tuple(sorted({v for (u, v) in edges if u == vid}))
+
+
+def test_rendering_two_statements_is_a_graph_error():
+    # The API accepts a vertex with two statements; the text format does not.
+    two = lf.VertexAttribute((lf.DefStmt("x", "d1"), lf.UseStmt("x")))
+    g = lf.SuperGraph({1: two}, ())
+    with pytest.raises(lf.GraphError, match="at most one statement per vertex"):
+        lf.render_graph(g)
+    batch = lf.diff_graphs(lf.SuperGraph({}, ()), g)
+    with pytest.raises(lf.GraphError, match="at most one statement per vertex"):
+        lf.render_changes(batch)

@@ -170,3 +170,59 @@ def test_batch_put_with_purge_is_one_commit(tmp_path, monkeypatch):
     assert len(renames) == 1
     assert b.get(StoreKey(4, Slot.IN)) is None
     assert a_path.read_bytes() == b_path.read_bytes()
+
+
+def test_equal_payloads_decode_to_one_object(tmp_path):
+    path = tmp_path / "facts.store"
+    analysis = lf.reaching_defs()
+    store = lf.FactStore.create(path, analysis)
+    keys = [StoreKey(v, slot) for v in (1, 2) for slot in (Slot.IN, Slot.OUT)]
+    store.batch_put([(keys[0], _rd(("d1", "x"))), (keys[1], _rd(("d1", "x"))),
+                     (keys[2], _rd(("d1", "x"))), (keys[3], _rd(("d2", "y")))])
+    reopened = lf.FactStore.open(path, analysis)  # each record its own bytes
+    a, b, c, d = reopened.batch_get(keys)
+    assert a is b is c
+    assert a == _rd(("d1", "x")) and d == _rd(("d2", "y"))
+
+
+def test_decode_error_names_the_first_corrupt_key_requested():
+    store = lf.FactStore.in_memory(lf.reaching_defs())
+    store.batch_put([(StoreKey(1, Slot.IN), _rd(("d1", "x")))])
+    store._entries[StoreKey(7, Slot.OUT)] = b"not json"
+    store._entries[StoreKey(3, Slot.IN)] = b"not json"
+    with pytest.raises(lf.StoreDecodeError) as exc:
+        store.batch_get([StoreKey(1, Slot.IN), StoreKey(7, Slot.OUT),
+                         StoreKey(3, Slot.IN)])
+    assert exc.value.key == StoreKey(7, Slot.OUT)
+
+
+def test_shared_fact_objects_write_the_bytes_of_distinct_ones(tmp_path):
+    analysis = lf.lru_must_cache(sets=2, assoc=2)
+    shared = lf.CacheFact(False, ({10: 0, 2: 1}, {}))
+    keys = [StoreKey(v, slot) for v in range(8) for slot in (Slot.IN, Slot.OUT)]
+
+    def fresh(i):  # a new object per call, dropped once it is encoded
+        return lf.CacheFact(False, ({2 * i: 0}, {1: i % 2}))
+
+    a_path, b_path = tmp_path / "a.store", tmp_path / "b.store"
+    a = lf.FactStore.create(a_path, analysis)
+    a.batch_put((k, shared if i % 3 else fresh(i)) for i, k in enumerate(keys))
+    b = lf.FactStore.create(b_path, analysis)
+    b.batch_put([(k, lf.CacheFact(False, ({10: 0, 2: 1}, {})) if i % 3 else fresh(i))
+                 for i, k in enumerate(keys)])
+    assert a_path.read_bytes() == b_path.read_bytes()
+
+
+@pytest.mark.parametrize("code", [2, 255])
+def test_invalid_slot_code_is_a_store_error(tmp_path, code):
+    path = tmp_path / "facts.store"
+    analysis = lf.reaching_defs()
+    store = lf.FactStore.create(path, analysis)
+    store.batch_put([(StoreKey(1, Slot.OUT), _rd(("d1", "x")))])
+    blob = bytearray(path.read_bytes())
+    slot_at = 8 + 4 + len(analysis.fingerprint().encode()) + 8  # magic, fp, vertex
+    assert blob[slot_at] == Slot.OUT.value
+    blob[slot_at] = code
+    path.write_bytes(bytes(blob))
+    with pytest.raises(lf.StoreError, match=f"invalid slot code {code}"):
+        lf.FactStore.open(path, analysis)

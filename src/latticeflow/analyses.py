@@ -227,6 +227,11 @@ class CacheFact:
         return block in self.sets[block % set_count]
 
 
+# Every cache fact holds one slot per set, so the set count sizes every fact
+# (associativity allocates nothing). Checked before anything is allocated.
+MAX_CACHE_SETS = 4096
+
+
 class LruMustCache(Analysis):
     """Set-associative LRU must-analysis: a mapped block is a guaranteed hit."""
 
@@ -235,6 +240,9 @@ class LruMustCache(Analysis):
     def __init__(self, sets: int = 4, assoc: int = 2):
         if sets < 1 or assoc < 1:
             raise AnalysisDefinitionError("cache geometry must be at least 1x1")
+        if sets > MAX_CACHE_SETS:
+            raise AnalysisDefinitionError(
+                f"cache geometry has {sets} sets; at most {MAX_CACHE_SETS} are supported")
         self.sets = sets
         self.assoc = assoc
         self.name = f"lru-must-cache(sets={sets},assoc={assoc})"

@@ -44,6 +44,9 @@ from .stmts import Stmts, parse_stmt_payload, render_stmts
 
 VertexId = int
 
+# Stores record vertex ids as unsigned 64-bit integers.
+VERTEX_ID_LIMIT = 1 << 64
+
 
 @dataclass(frozen=True)
 class VertexAttribute:
@@ -61,9 +64,9 @@ class SuperGraph:
     def __init__(self, vertices: Mapping[VertexId, VertexAttribute],
                  edges: Iterable[tuple[VertexId, VertexId]]):
         self.vertices: dict[VertexId, VertexAttribute] = dict(vertices)
-        for vid in self.vertices:
-            if vid < 0:
-                raise GraphParseError(f"vertex id must be non-negative, got {vid}")
+        if self.vertices:
+            _check_vertex_id(min(self.vertices))
+            _check_vertex_id(max(self.vertices))
         self.edges: frozenset[tuple[VertexId, VertexId]] = frozenset(edges)
         for (u, v) in self.edges:
             if u not in self.vertices:
@@ -135,21 +138,10 @@ def parse_graph(text: str) -> SuperGraph:
         tokens = line.split()
         kind = tokens[0]
         if kind == "V":
-            if len(tokens) < 3:
-                raise GraphParseError("V line needs an id and a payload", lineno)
-            vid = _parse_vertex_id(tokens[1], lineno)
+            vid, attr = _parse_vertex_decl(tokens, lineno)
             if vid in vertices:
                 raise DuplicateVertexError(f"duplicate vertex id {vid}", lineno)
-            rest = tokens[2:]
-            is_entry = False
-            if rest and rest[0] == "entry":
-                is_entry = True
-                rest = rest[1:]
-            try:
-                stmts = parse_stmt_payload(rest)
-            except ValueError as exc:
-                raise GraphParseError(str(exc), lineno) from None
-            vertices[vid] = VertexAttribute(stmts=stmts, is_entry=is_entry)
+            vertices[vid] = attr
         elif kind == "E":
             if len(tokens) != 3:
                 raise GraphParseError("E line needs exactly a source and a destination", lineno)
@@ -187,13 +179,33 @@ def _render_payload(attr: VertexAttribute) -> str:
     return f"entry {stmts}" if attr.is_entry else stmts
 
 
+def _parse_vertex_decl(tokens: list[str], lineno: int) -> tuple[VertexId, VertexAttribute]:
+    """The vertex of a ``<kind> <id> [entry] <payload>`` line (V, AN, CN)."""
+    if len(tokens) < 3:
+        raise GraphParseError(f"{tokens[0]} line needs an id and a payload", lineno)
+    vid = _parse_vertex_id(tokens[1], lineno)
+    rest = tokens[2:]
+    is_entry = rest[0] == "entry"
+    try:
+        stmts = parse_stmt_payload(rest[1:] if is_entry else rest)
+    except ValueError as exc:
+        raise GraphParseError(str(exc), lineno) from None
+    return vid, VertexAttribute(stmts=stmts, is_entry=is_entry)
+
+
 def _parse_vertex_id(token: str, lineno: int) -> VertexId:
     try:
         vid = int(token)
     except ValueError:
         raise GraphParseError(f"not a vertex id: {token!r}", lineno) from None
+    return _check_vertex_id(vid, lineno)
+
+
+def _check_vertex_id(vid: int, lineno: int | None = None) -> VertexId:
     if vid < 0:
         raise GraphParseError(f"vertex id must be non-negative, got {vid}", lineno)
+    if vid >= VERTEX_ID_LIMIT:
+        raise GraphParseError(f"vertex id must be below {VERTEX_ID_LIMIT}, got {vid}", lineno)
     return vid
 
 
@@ -499,19 +511,7 @@ def _collect_change_lines(text: str) -> tuple[_RawEdits, set[tuple[VertexId, Ver
                 raise GraphParseError("DN line needs exactly a vertex id", lineno)
             raw.deleted_nodes.add(_parse_vertex_id(tokens[1], lineno))
         elif kind in ("AN", "CN"):
-            if len(tokens) < 3:
-                raise GraphParseError(f"{kind} line needs an id and a payload", lineno)
-            vid = _parse_vertex_id(tokens[1], lineno)
-            rest = tokens[2:]
-            is_entry = False
-            if rest and rest[0] == "entry":
-                is_entry = True
-                rest = rest[1:]
-            try:
-                stmts = parse_stmt_payload(rest)
-            except ValueError as exc:
-                raise GraphParseError(str(exc), lineno) from None
-            attr = VertexAttribute(stmts=stmts, is_entry=is_entry)
+            vid, attr = _parse_vertex_decl(tokens, lineno)
             if kind == "AN":
                 if vid in raw.added_nodes:
                     raise GraphParseError(f"duplicate AN for vertex {vid}", lineno)

@@ -22,10 +22,16 @@ import sys
 from pathlib import Path
 
 from . import engine, incremental, sequential
-from .analyses import analysis_from_fingerprint, const_prop, lru_must_cache, reaching_defs
+from .analyses import (
+    MAX_CACHE_SETS,
+    analysis_from_fingerprint,
+    const_prop,
+    lru_must_cache,
+    reaching_defs,
+)
 from .cfg import diff_graphs, parse_changes_for_new, parse_graph, render_changes
 from .engine import Algorithm, EngineConfig
-from .errors import LatticeflowError, NonConvergenceError
+from .errors import GraphParseError, LatticeflowError, NonConvergenceError
 from .lattice import Analysis
 from .store import FactStore, write_result
 
@@ -43,6 +49,7 @@ ANALYSES = {
 }
 
 _CHAOTIC_SEED = 0x5EED
+_SETS_HELP = f"cache sets, 1 to {MAX_CACHE_SETS} (cache analysis)"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--algo", choices=["classic", "opt"], default="opt")
     p_an.add_argument("--workers", type=_positive_int, default=1)
     p_an.add_argument("--store", required=True, help="output fact-store path")
-    p_an.add_argument("--sets", type=int, default=4, help="cache sets (cache analysis)")
+    p_an.add_argument("--sets", type=int, default=4, help=_SETS_HELP)
     p_an.add_argument("--assoc", type=int, default=2,
                       help="cache associativity (cache analysis)")
     p_an.add_argument("--superstep-cap", type=_positive_int, default=None)
@@ -102,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--cfg", required=True)
     p_ver.add_argument("--analysis", required=True)
     p_ver.add_argument("--workers", type=_positive_int, default=2)
-    p_ver.add_argument("--sets", type=int, default=4)
+    p_ver.add_argument("--sets", type=int, default=4, help=_SETS_HELP)
     p_ver.add_argument("--assoc", type=int, default=2)
     p_ver.add_argument("--seed", type=int, default=_CHAOTIC_SEED,
                        help="chaotic-order seed")
@@ -129,8 +136,16 @@ def _make_analysis(args) -> Analysis:
     return factory(args)
 
 
+def _read_input(path: str) -> str:
+    """The text of a CFG or change file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+
+
 def _load_graph(path: str):
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    return parse_graph(_read_input(path))
 
 
 def _emit_report(report: dict, report_path: str | None) -> None:
@@ -177,7 +192,7 @@ def cmd_incremental(args) -> int:
     analysis = analysis_from_fingerprint(fingerprint)
     store = FactStore.open(args.store, analysis)
     config = EngineConfig(worker_count=args.workers, superstep_cap=args.superstep_cap)
-    batch = parse_changes_for_new(Path(args.changes).read_text(encoding="utf-8"), graph)
+    batch = parse_changes_for_new(_read_input(args.changes), graph)
 
     runner = (incremental.run_incremental_optimized if args.mode == "opt"
               else incremental.run_incremental_naive)

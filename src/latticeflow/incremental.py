@@ -7,25 +7,23 @@ destination loses one; a changed vertex gets a new transfer function; a
 deleted vertex is gone and seeds nothing), then closes the seed set under
 successor reachability: once a vertex's fact may change, so may every
 vertex downstream of it. The closure runs as barriered frontier expansion,
-one superstep per wave. The affected vertices and the edges among them
-form the sub-graph on which analysis resumes; by construction no edge of
-the updated graph leads from an affected vertex to an unaffected one, so
-the unaffected region keeps its previous facts untouched.
+one superstep per wave, and labels each affected vertex with the change
+categories -- additions, deletions, changes -- that reached it. The
+affected vertices and the edges among them form the sub-graph on which
+analysis resumes; by construction no edge of the updated graph leads from
+an affected vertex to an unaffected one, so the unaffected region keeps its
+previous facts untouched.
 
-Two update strategies share that pipeline:
-
-* naive -- one closure over all seeds. Every affected vertex is reset;
-  for each affected vertex with an unaffected predecessor, the
-  predecessor's stored outgoing fact is seeded as a pending message.
-* optimized -- three closures (run as a single labeled pass) split the
-  affected set by what reached it: additions, deletions, changes. A vertex
-  reached only by additions still satisfies the old fixed point from below
-  (an added edge can only feed more into a merge), so it warm-starts from
-  its stored facts and quiesces immediately unless something actually
-  changed; it needs a seeded message only for its newly added incoming
-  edges. Every other affected vertex resets as in the naive mode, seeding
-  messages from predecessors that are unaffected or warm-started. Vertices
-  new in this version have nothing stored and always reset.
+Both update strategies take that one labeled closure; they differ only in
+which affected vertices they reuse. A vertex reached only by additions
+still satisfies the old fixed point from below (an added edge can only feed
+more into a merge), so the optimized mode warm-starts it from its stored
+facts: it quiesces immediately unless something actually changed, and it
+needs a seeded message only for its newly added incoming edges. Vertices
+new in this version have nothing stored and are never reused. The naive
+mode reuses nothing. Every affected vertex that is not reused resets, with
+the stored outgoing facts of its unaffected or reused predecessors seeded
+as pending messages.
 
 A reset vertex starts the way every vertex starts in a whole-program run:
 incoming fact the initial element (the entry fact at an entry), outgoing
@@ -51,12 +49,9 @@ from-scratch analysis of the updated graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .cfg import (
-    _ADD_KINDS,
-    _CHANGE_KINDS,
-    _DELETE_KINDS,
     ChangeBatch,
     ChangeKind,
     SuperGraph,
@@ -73,6 +68,20 @@ from .store import FactStore, Slot, StoreKey, write_result
 
 _ADD, _DELETE, _CHANGE = 1, 2, 4
 
+# Each change kind's category bit and the endpoint fields naming the
+# vertices it seeds. A deleted source node's surviving successor ``v`` may
+# be None; a deleted destination node no longer exists and seeds nothing.
+_SEEDS: dict[ChangeKind, tuple[int, tuple[str, ...]]] = {
+    ChangeKind.ADD_EDGE: (_ADD, ("v",)),
+    ChangeKind.ADD_SOURCE_NODE: (_ADD, ("u", "v")),
+    ChangeKind.ADD_DEST_NODE: (_ADD, ("v",)),
+    ChangeKind.DELETE_EDGE: (_DELETE, ("v",)),
+    ChangeKind.DELETE_SOURCE_NODE: (_DELETE, ("v",)),
+    ChangeKind.DELETE_DEST_NODE: (_DELETE, ()),
+    ChangeKind.CHANGE_SOURCE_NODE: (_CHANGE, ("u",)),
+    ChangeKind.CHANGE_DEST_NODE: (_CHANGE, ("v",)),
+}
+
 
 @dataclass(frozen=True)
 class ImpactResult:
@@ -80,8 +89,8 @@ class ImpactResult:
 
     ``boundary_preds`` maps each affected vertex to the predecessors whose
     stored outgoing facts must seed its pending messages. ``reuse`` is the
-    set of vertices that warm-start from stored facts (empty in naive
-    mode).
+    set of vertices that warm-start from stored facts. In naive mode it and
+    the three per-category sets are empty.
     """
 
     affected_all: frozenset[VertexId]
@@ -104,50 +113,27 @@ class IncrementalRun:
     purged: frozenset[VertexId]
 
 
-_SEED_BUCKET = {kind: bucket
-                for kinds, bucket in ((_ADD_KINDS, _ADD), (_DELETE_KINDS, _DELETE),
-                                      (_CHANGE_KINDS, _CHANGE))
-                for kind in kinds}
-
-
-def _seed_targets(change) -> tuple[VertexId, ...]:
-    kind = change.kind
-    if kind is ChangeKind.ADD_EDGE:
-        return (change.v,)
-    if kind is ChangeKind.ADD_SOURCE_NODE:
-        return (change.u, change.v)
-    if kind is ChangeKind.ADD_DEST_NODE:
-        return (change.v,)
-    if kind is ChangeKind.DELETE_EDGE:
-        return (change.v,)
-    if kind is ChangeKind.DELETE_SOURCE_NODE:
-        return (change.v,) if change.v is not None else ()
-    if kind is ChangeKind.DELETE_DEST_NODE:
-        return ()  # the deleted destination no longer exists
-    if kind is ChangeKind.CHANGE_SOURCE_NODE:
-        return (change.u,)
-    if kind is ChangeKind.CHANGE_DEST_NODE:
-        return (change.v,)
-    raise ValueError(f"unknown change kind {kind}")
+def _seeds(batch: ChangeBatch) -> Iterator[tuple[VertexId, int]]:
+    """Each directly affected vertex with the category bit of its change."""
+    for c in batch:
+        bit, fields = _SEEDS[c.kind]
+        for field in fields:
+            k = getattr(c, field)
+            if k is not None:
+                yield k, bit
 
 
 def seed_affected(batch: ChangeBatch) -> set[VertexId]:
     """Directly affected vertices, before transitive closure."""
-    out: set[VertexId] = set()
-    for c in batch:
-        out.update(_seed_targets(c))
-    return out
+    return {k for k, _ in _seeds(batch)}
 
 
 def seed_affected_by_kind(batch: ChangeBatch) -> tuple[set[VertexId], set[VertexId], set[VertexId]]:
     """Directly affected vertices split into addition/deletion/change seeds."""
-    add: set[VertexId] = set()
-    delete: set[VertexId] = set()
-    change: set[VertexId] = set()
-    buckets = {_ADD: add, _DELETE: delete, _CHANGE: change}
-    for c in batch:
-        buckets[_SEED_BUCKET[c.kind]].update(_seed_targets(c))
-    return add, delete, change
+    buckets: dict[int, set[VertexId]] = {_ADD: set(), _DELETE: set(), _CHANGE: set()}
+    for k, bit in _seeds(batch):
+        buckets[bit].add(k)
+    return buckets[_ADD], buckets[_DELETE], buckets[_CHANGE]
 
 
 def _labeled_closure(seeds: Mapping[VertexId, int], g: SuperGraph) -> dict[VertexId, int]:
@@ -177,59 +163,42 @@ def _reachable_from_entries(g: SuperGraph) -> frozenset[VertexId]:
 
 
 def build_impact(batch: ChangeBatch, new_graph: SuperGraph, *, per_kind: bool) -> ImpactResult:
-    """Impact analysis over the updated graph.
+    """Impact analysis over the updated graph: one labeled closure.
 
-    ``per_kind`` selects the optimized mode: separate closures per change
-    category (computed in one labeled pass) and warm-start bookkeeping.
+    ``per_kind`` selects the optimized mode, which reports the affected set
+    of each change category and warm-starts the vertices that only
+    additions reached. The naive mode reuses nothing.
     """
+    seeds: dict[VertexId, int] = {}
+    for k, bit in _seeds(batch):
+        if k in new_graph.vertices:
+            seeds[k] = seeds.get(k, 0) | bit
+    labels = _labeled_closure(seeds, new_graph)
+    affected = frozenset(labels)
+    add = delete = change = reuse = frozenset()
     if per_kind:
-        add, delete, change = seed_affected_by_kind(batch)
-        seeds: dict[VertexId, int] = {}
-        for bucket, bit in ((add, _ADD), (delete, _DELETE), (change, _CHANGE)):
-            for k in bucket:
-                if k in new_graph.vertices:
-                    seeds[k] = seeds.get(k, 0) | bit
-        labels = _labeled_closure(seeds, new_graph)
-        affected_add = frozenset(k for k, lab in labels.items() if lab & _ADD)
-        affected_delete = frozenset(k for k, lab in labels.items() if lab & _DELETE)
-        affected_change = frozenset(k for k, lab in labels.items() if lab & _CHANGE)
-        affected = frozenset(labels)
-    else:
-        affected = transitive_closure(seed_affected(batch), new_graph)
-        affected_add = affected_delete = affected_change = frozenset()
-
-    sub = induced_subgraph(new_graph, affected)
-
-    if per_kind:
-        add_only = affected_add - affected_delete - affected_change
+        add = frozenset(k for k, lab in labels.items() if lab & _ADD)
+        delete = frozenset(k for k, lab in labels.items() if lab & _DELETE)
+        change = frozenset(k for k, lab in labels.items() if lab & _CHANGE)
         # Vertices new in this version have no stored facts to warm-start from.
-        reuse = add_only - added_vertices(batch)
-        reset = affected - reuse
-        new_edges = added_edges(batch)
-        boundary: dict[VertexId, frozenset[VertexId]] = {}
-        for k in affected:
-            if k in reuse:
-                # Stored facts already absorb every old incoming edge; only a
-                # newly added edge carries a fact the old fixed point lacks.
-                sources = frozenset(
-                    p for p in new_graph.preds(k)
-                    if (p, k) in new_edges and p not in reset)
-            else:
-                sources = frozenset(
-                    p for p in new_graph.preds(k)
-                    if p not in affected or p in reuse)
-            boundary[k] = sources
-    else:
-        reuse = frozenset()
-        boundary = {k: frozenset(p for p in new_graph.preds(k) if p not in affected)
-                    for k in affected}
+        reuse = frozenset(k for k, lab in labels.items() if lab == _ADD) - added_vertices(batch)
+
+    new_edges = added_edges(batch)
+    boundary: dict[VertexId, frozenset[VertexId]] = {}
+    for k in affected:
+        # A reused vertex's stored facts already absorb every old incoming
+        # edge; only a newly added edge carries a fact the old fixed point lacks.
+        only_new = k in reuse
+        boundary[k] = frozenset(
+            p for p in new_graph.preds(k)
+            if (not only_new or (p, k) in new_edges) and (p not in affected or p in reuse))
 
     return ImpactResult(
         affected_all=affected,
-        affected_add=affected_add,
-        affected_delete=affected_delete,
-        affected_change=affected_change,
-        sub_graph=sub,
+        affected_add=add,
+        affected_delete=delete,
+        affected_change=change,
+        sub_graph=induced_subgraph(new_graph, affected),
         boundary_preds=boundary,
         reuse=reuse,
     )
@@ -269,19 +238,13 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
 
     initial_in: dict[VertexId, Fact] = {}
     initial_out: dict[VertexId, Fact | None] = {}
-    if live_reuse:
-        stored_keys = []
-        for k in sorted(live_reuse):
-            stored_keys.append(StoreKey(k, Slot.IN))
-            stored_keys.append(StoreKey(k, Slot.OUT))
-        stored = store.batch_get(stored_keys)
-        for idx, k in enumerate(sorted(live_reuse)):
-            in_fact, out_fact = stored[2 * idx], stored[2 * idx + 1]
-            if in_fact is None or out_fact is None:
-                raise StoreInconsistentError(
-                    f"no stored facts for warm-started vertex {k}")
-            initial_in[k] = in_fact
-            initial_out[k] = out_fact
+    reused = sorted(live_reuse)
+    stored = store.batch_get([StoreKey(k, slot) for k in reused for slot in (Slot.IN, Slot.OUT)])
+    for k, in_fact, out_fact in zip(reused, stored[::2], stored[1::2]):
+        if in_fact is None or out_fact is None:
+            raise StoreInconsistentError(f"no stored facts for warm-started vertex {k}")
+        initial_in[k] = in_fact
+        initial_out[k] = out_fact
     for k in affected:
         if k in live_reuse:
             continue
@@ -289,20 +252,15 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
                          else analysis.initial())
         initial_out[k] = None  # never computed: its first result propagates
 
+    wanted = [(k, p) for k in affected if k in reachable
+              for p in sorted(impact.boundary_preds[k])]
+    fetched = store.batch_get([StoreKey(p, Slot.OUT) for (_, p) in wanted])
     messages: dict[VertexId, list[tuple[VertexId, Fact]]] = {}
-    wanted: list[tuple[VertexId, VertexId]] = []
-    for k in affected:
-        if k not in reachable:
-            continue
-        for p in sorted(impact.boundary_preds[k]):
-            wanted.append((k, p))
-    if wanted:
-        fetched = store.batch_get([StoreKey(p, Slot.OUT) for (_, p) in wanted])
-        for (k, p), fact in zip(wanted, fetched):
-            if fact is None:
-                raise StoreInconsistentError(
-                    f"no stored outgoing fact for boundary predecessor {p} of {k}")
-            messages.setdefault(k, []).append((p, fact))
+    for (k, p), fact in zip(wanted, fetched):
+        if fact is None:
+            raise StoreInconsistentError(
+                f"no stored outgoing fact for boundary predecessor {p} of {k}")
+        messages.setdefault(k, []).append((p, fact))
 
     # Reset vertices start like a whole-program run: only entries and the
     # targets of boundary messages compute at superstep 0, and every other

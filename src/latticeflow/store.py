@@ -150,12 +150,6 @@ class FactStore:
         self._commit(staged)
         self._entries = staged
 
-    def purge(self, vertices: Iterable[VertexId]) -> None:
-        """Drop both slots of each vertex; absent vertices are a no-op."""
-        doomed = set(vertices)
-        if doomed:
-            self.batch_put((), doomed)
-
     def keys(self) -> list[StoreKey]:
         return sorted(self._entries, key=StoreKey.sort_key)
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import latticeflow as lf
-from latticeflow.analyses import analysis_from_name
+from latticeflow.analyses import MAX_CACHE_SETS, analysis_from_name
 from support import ConcreteLru, load_fixture, random_rd_fact
 
 
@@ -256,6 +256,12 @@ def test_cache_abstract_hits_are_sound_on_random_lines():
 def test_cache_geometry_validation():
     with pytest.raises(lf.AnalysisDefinitionError):
         lf.lru_must_cache(sets=0, assoc=2)
+    # The bound is checked before any allocation; never build a huge geometry.
+    assert lf.lru_must_cache(sets=MAX_CACHE_SETS, assoc=4).sets == MAX_CACHE_SETS
+    with pytest.raises(lf.AnalysisDefinitionError):
+        lf.lru_must_cache(sets=MAX_CACHE_SETS + 1, assoc=4)
+    with pytest.raises(lf.AnalysisDefinitionError):  # a store fingerprint naming it
+        analysis_from_name(f"lru-must-cache(sets={MAX_CACHE_SETS + 1},assoc=4)")
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,41 @@ def test_parse_rejects_malformed_payload_with_line():
     assert exc.value.line == 1
 
 
+_TOO_BIG = 2 ** 64
+
+
+@pytest.mark.parametrize("text,line", [
+    (f"V 1 entry nop\nV {_TOO_BIG} use x\n", 2),
+    (f"V 1 entry nop\nE 1 {_TOO_BIG}\n", 2),
+], ids=["V", "E"])
+def test_parse_rejects_vertex_id_past_the_store_limit(text, line):
+    with pytest.raises(lf.GraphParseError) as exc:
+        lf.parse_graph(text)
+    assert exc.value.line == line
+    assert f"must be below {_TOO_BIG}" in str(exc.value)
+
+
+@pytest.mark.parametrize("change", [
+    f"AE 1 {_TOO_BIG}", f"DE {_TOO_BIG} 1", f"DN {_TOO_BIG}",
+    f"AN {_TOO_BIG} use x", f"CN {_TOO_BIG} entry use x",
+], ids=["AE", "DE", "DN", "AN", "CN"])
+def test_change_lines_reject_vertex_id_past_the_store_limit(change):
+    old = lf.parse_graph("V 1 entry nop\n")
+    with pytest.raises(lf.GraphParseError) as exc:
+        lf.parse_changes(f"# header\n{change}\n", old)
+    assert exc.value.line == 2
+    assert f"must be below {_TOO_BIG}" in str(exc.value)
+
+
+def test_supergraph_vertex_ids_fit_the_store():
+    attr = lf.VertexAttribute(stmts=())
+    assert _TOO_BIG - 1 in lf.SuperGraph({_TOO_BIG - 1: attr}, ())
+    with pytest.raises(lf.GraphParseError):
+        lf.SuperGraph({_TOO_BIG: attr}, ())
+    with pytest.raises(lf.GraphParseError):
+        lf.SuperGraph({-1: attr}, ())
+
+
 def test_diamond_adjacency():
     g = lf.parse_graph(DIAMOND)
     assert g.preds(4) == (2, 3)

@@ -8,6 +8,7 @@ import pytest
 
 import latticeflow as lf
 from latticeflow import cli, engine
+from latticeflow.analyses import MAX_CACHE_SETS
 from latticeflow.store import Slot, StoreKey
 from support import fixture_path
 
@@ -103,6 +104,14 @@ def test_incremental_empty_change_file_reports_zero(capsys, tmp_path):
     assert store_path.read_bytes() == before
 
 
+# Naive mode reuses nothing, so it reports no per-category sets.
+_DEMO_AFFECTED = {
+    "naive": {"add": 0, "all": 6, "change": 0, "delete": 0, "purged": 1, "reused": 0},
+    "opt": {"add": 4, "all": 6, "change": 3, "delete": 1, "purged": 1, "reused": 3},
+}
+_DEMO_RUN = {"naive": (5, 8, 9), "opt": (3, 4, 6)}  # supersteps, messages, updates
+
+
 @pytest.mark.parametrize("mode", ["naive", "opt"])
 def test_incremental_matches_scratch_run(capsys, tmp_path, mode):
     store_path, _ = _analyze(capsys, tmp_path, "incr_demo_old.cfg", "rd")
@@ -114,7 +123,9 @@ def test_incremental_matches_scratch_run(capsys, tmp_path, mode):
     scratch_path, _ = _analyze(capsys, tmp_path, "incr_demo_new.cfg", "rd")
     assert store_path.read_bytes() == scratch_path.read_bytes()
     report = json.loads(out)
-    assert report["affected"]["all"] == 6
+    assert report["affected"] == _DEMO_AFFECTED[mode]
+    run = report["run"]
+    assert (run["supersteps"], run["messages_sent"], run["fact_updates"]) == _DEMO_RUN[mode]
     assert report["sub_cfg"]["vertices"] == 6
 
 
@@ -278,6 +289,46 @@ def test_incremental_on_non_utf8_fingerprint_exits_2(capsys, tmp_path):
     code, _, err = _incremental_on(capsys, store_path, _empty_changes(tmp_path))
     assert code == cli.EXIT_USAGE
     assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("analyze", "--cfg", "{latin1}", "--analysis", "rd", "--store", "{out}"), "latin1.cfg"),
+    (("diff", "--old", "{cfg}", "--new", "{latin1}", "--out", "{out}"), "latin1.cfg"),
+    (("incremental", "--cfg", "{cfg}", "--changes", "{latin1}", "--store", "{store}"),
+     "latin1.cfg"),
+    (("analyze", "--cfg", "{big_id}", "--analysis", "rd", "--store", "{out}"), "line 1"),
+    (("analyze", "--cfg", "{cfg}", "--analysis", "cache",
+      "--sets", str(MAX_CACHE_SETS + 1), "--store", "{out}"), str(MAX_CACHE_SETS)),
+], ids=["cfg-not-utf8", "diff-cfg-not-utf8", "changes-not-utf8", "vertex-id-2**64",
+        "sets-past-bound"])
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
+    store, _ = _analyze(capsys, tmp_path, "diamond_rd.cfg", "rd")
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"V 1 entry def x d\xff\n")
+    big_id = tmp_path / "big_id.cfg"
+    big_id.write_text(f"V {2 ** 64} entry def x d\n")
+    out = tmp_path / "out"
+    paths = {"latin1": latin1, "big_id": big_id, "out": out, "store": store,
+             "cfg": fixture_path("diamond_rd.cfg")}
+    code, stdout, err = _run(capsys, *(a.format(**paths) for a in argv))
+    assert code == cli.EXIT_USAGE
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert named in err
+    assert not out.exists()
+
+
+def test_largest_vertex_id_round_trips_through_analyze(capsys, tmp_path):
+    top = 2 ** 64 - 1
+    cfg = tmp_path / "top.cfg"
+    cfg.write_text(f"V {top} entry def x d1\nV 3 use x\nE {top} 3\n")
+    store = tmp_path / "top.store"
+    code, _, err = _run(capsys, "analyze", "--cfg", str(cfg), "--analysis", "rd",
+                        "--store", str(store))
+    assert code == cli.EXIT_OK, err
+    reopened = lf.FactStore.open(store, lf.reaching_defs())
+    assert reopened.keys()[-2:] == [StoreKey(top, Slot.IN), StoreKey(top, Slot.OUT)]
+    assert reopened.get(StoreKey(3, Slot.IN)) == lf.ReachingDefsFact(frozenset({("d1", "x")}))
 
 
 def test_module_entry_point_runs_the_command(tmp_path):

@@ -10,7 +10,7 @@ import random
 import pytest
 
 import latticeflow as lf
-from latticeflow.cfg import ChangeKind
+from latticeflow.cfg import _ADD_KINDS, _CHANGE_KINDS, _DELETE_KINDS, ChangeKind
 from latticeflow.incremental import build_impact
 from latticeflow.store import Slot, StoreKey
 from support import load_fixture, random_edit, random_graph
@@ -52,6 +52,29 @@ def test_seed_affected_by_kind_worked_example():
     _, _, batch = _example()
     add, delete, change = lf.seed_affected_by_kind(batch)
     assert (add, delete, change) == ({4}, {7}, {5})
+
+
+@pytest.mark.parametrize("kind,seeded", [
+    (ChangeKind.ADD_EDGE, {2}),
+    (ChangeKind.ADD_SOURCE_NODE, {1, 2}),
+    (ChangeKind.ADD_DEST_NODE, {2}),
+    (ChangeKind.DELETE_EDGE, {2}),
+    (ChangeKind.DELETE_SOURCE_NODE, {2}),
+    (ChangeKind.DELETE_DEST_NODE, set()),  # the deleted destination is gone
+    (ChangeKind.CHANGE_SOURCE_NODE, {1}),
+    (ChangeKind.CHANGE_DEST_NODE, {2}),
+])
+def test_each_change_kind_seeds_its_category(kind, seeded):
+    categories = (_ADD_KINDS, _DELETE_KINDS, _CHANGE_KINDS)
+    batch = (lf.AtomicChange(kind, u=1, v=2),)
+    assert lf.seed_affected(batch) == seeded
+    assert lf.seed_affected_by_kind(batch) == tuple(
+        seeded if kind in kinds else set() for kinds in categories)
+
+
+def test_deleted_source_node_without_successor_seeds_nothing():
+    batch = (lf.AtomicChange(ChangeKind.DELETE_SOURCE_NODE, u=1, v=None),)
+    assert lf.seed_affected(batch) == set()
 
 
 def test_transitive_closure_worked_example():
@@ -100,11 +123,14 @@ def test_closure_soundness_no_edge_escapes():
         old = random_graph(rng, max_vertices=20, max_edges=50)
         new = random_edit(rng, old)
         batch = lf.diff_graphs(old, new)
+        affected = []
         for per_kind in (False, True):
             impact = build_impact(batch, new, per_kind=per_kind)
             for (u, v) in new.edges:
                 if u in impact.affected_all:
                     assert v in impact.affected_all
+            affected.append(impact.affected_all)
+        assert affected[0] == affected[1]
 
 
 def test_subgraph_edges_are_the_induced_ones():
@@ -307,7 +333,7 @@ def test_store_miss_for_boundary_predecessor_raises():
     old, new, batch = _example()
     analysis = lf.reaching_defs()
     store = _converged_store(old, analysis)
-    store.purge({3})  # vertex 3 is the unaffected boundary predecessor
+    store.batch_put((), purge={3})  # vertex 3 is the unaffected boundary predecessor
     with pytest.raises(lf.StoreInconsistentError):
         lf.run_incremental_naive(new, batch, store, analysis, lf.EngineConfig())
 
@@ -316,7 +342,7 @@ def test_store_miss_for_warm_start_vertex_raises():
     old, new, batch = _example()
     analysis = lf.reaching_defs()
     store = _converged_store(old, analysis)
-    store.purge({8})  # vertex 8 would be warm-started in optimized mode
+    store.batch_put((), purge={8})  # vertex 8 would be warm-started in optimized mode
     with pytest.raises(lf.StoreInconsistentError):
         lf.run_incremental_optimized(new, batch, store, analysis, lf.EngineConfig())
 
@@ -325,7 +351,7 @@ def test_deleted_vertex_facts_are_purged_only_on_success():
     old, new, batch = _example()
     analysis = lf.reaching_defs()
     store = _converged_store(old, analysis)
-    store.purge({3})
+    store.batch_put((), purge={3})
     with pytest.raises(lf.StoreInconsistentError):
         lf.run_incremental_naive(new, batch, store, analysis, lf.EngineConfig())
     # The failed run must not have purged the deleted vertex's facts.

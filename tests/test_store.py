@@ -60,12 +60,12 @@ def test_purge():
     store.batch_put([(StoreKey(1, Slot.IN), _rd()),
                      (StoreKey(1, Slot.OUT), _rd(("d1", "x"))),
                      (StoreKey(2, Slot.OUT), _rd(("d2", "y")))])
-    store.purge({1})
+    store.batch_put((), purge={1})
     assert store.get(StoreKey(1, Slot.IN)) is None
     assert store.get(StoreKey(1, Slot.OUT)) is None
     assert store.get(StoreKey(2, Slot.OUT)) == _rd(("d2", "y"))
-    store.purge(set())
-    store.purge({42})  # absent vertex: no-op
+    store.batch_put((), purge=set())
+    store.batch_put((), purge={42})  # absent vertex: no-op
     assert store.get(StoreKey(2, Slot.OUT)) == _rd(("d2", "y"))
 
 
@@ -161,7 +161,7 @@ def test_batch_put_with_purge_is_one_commit(tmp_path, monkeypatch):
     update = [(StoreKey(1, Slot.OUT), _rd(("d9", "y"))),
               (StoreKey(4, Slot.IN), _rd(("d8", "z")))]
     a.batch_put(update)
-    a.purge({2, 4, 42})
+    a.batch_put((), purge={2, 4, 42})
     renames = []
     original = os.replace
     monkeypatch.setattr(os, "replace",

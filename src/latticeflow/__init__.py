@@ -2,8 +2,9 @@
 
 Whole-program analysis runs either as the classic gather-all worklist or
 the optimized delta-message worklist; a sequential oracle provides ground
-truth; an incremental pipeline re-analyzes only the sub-graph affected by
-a batch of CFG edits, reusing facts from a persistent store.
+truth; an incremental pipeline re-analyzes the updated program seeded on
+only the vertices a batch of CFG edits affects, reusing facts from a
+persistent store.
 """
 
 from .analyses import (
@@ -32,7 +33,6 @@ from .cfg import (
     apply_changes,
     deleted_vertices,
     diff_graphs,
-    induced_subgraph,
     parse_changes,
     parse_changes_for_new,
     parse_graph,

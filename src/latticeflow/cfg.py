@@ -110,14 +110,6 @@ class SuperGraph:
         return f"SuperGraph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
 
 
-def induced_subgraph(g: SuperGraph, keep: Iterable[VertexId]) -> SuperGraph:
-    """The subgraph on ``keep`` with every edge whose endpoints both remain."""
-    kept = set(keep)
-    vertices = {vid: g.vertices[vid] for vid in kept}
-    edges = [(u, v) for (u, v) in g.edges if u in kept and v in kept]
-    return SuperGraph(vertices, edges)
-
-
 # ---------------------------------------------------------------------------
 # Graph file format
 

@@ -29,9 +29,23 @@ from .analyses import (
     lru_must_cache,
     reaching_defs,
 )
-from .cfg import diff_graphs, parse_changes_for_new, parse_graph, render_changes
+from .cfg import (
+    ChangeBatch,
+    SuperGraph,
+    added_vertices,
+    deleted_vertices,
+    diff_graphs,
+    parse_changes_for_new,
+    parse_graph,
+    render_changes,
+)
 from .engine import Algorithm, EngineConfig
-from .errors import GraphParseError, LatticeflowError, NonConvergenceError
+from .errors import (
+    GraphParseError,
+    LatticeflowError,
+    NonConvergenceError,
+    StoreInconsistentError,
+)
 from .lattice import Analysis
 from .store import FactStore, write_result
 
@@ -193,6 +207,7 @@ def cmd_incremental(args) -> int:
     store = FactStore.open(args.store, analysis)
     config = EngineConfig(worker_count=args.workers, superstep_cap=args.superstep_cap)
     batch = parse_changes_for_new(_read_input(args.changes), graph)
+    _check_store_matches_old_version(store, args.store, graph, batch)
 
     runner = (incremental.run_incremental_optimized if args.mode == "opt"
               else incremental.run_incremental_naive)
@@ -201,7 +216,9 @@ def cmd_incremental(args) -> int:
     impact = run.impact
     n_vertices = max(1, len(graph.vertices))
     n_edges = max(1, len(graph.edges))
-    sub = impact.sub_graph
+    # Closed under successors, the affected set's out-edges are its induced edges.
+    sub_vertices = len(impact.affected_all)
+    sub_edges = sum(len(graph.succs(k)) for k in impact.affected_all)
     report = {
         "command": "incremental",
         "mode": args.mode,
@@ -216,15 +233,28 @@ def cmd_incremental(args) -> int:
             "purged": len(run.purged),
         },
         "sub_cfg": {
-            "vertices": len(sub.vertices),
-            "edges": len(sub.edges),
-            "vertex_pct": round(100.0 * len(sub.vertices) / n_vertices, 3),
-            "edge_pct": round(100.0 * len(sub.edges) / n_edges, 3),
+            "vertices": sub_vertices,
+            "edges": sub_edges,
+            "vertex_pct": round(100.0 * sub_vertices / n_vertices, 3),
+            "edge_pct": round(100.0 * sub_edges / n_edges, 3),
         },
         "run": run.result.to_report(),
     }
     _emit_report(report, args.report)
     return EXIT_OK
+
+
+def _check_store_matches_old_version(store: FactStore, path: str, graph: SuperGraph,
+                                     batch: ChangeBatch) -> None:
+    """Refuse a store without both slots of exactly the old version's vertices."""
+    old = (set(graph.vertices) - added_vertices(batch)) | deleted_vertices(batch)
+    keys = store.snapshot().keys()
+    stored = {key.vertex for key in keys}
+    if stored != old or len(keys) != 2 * len(old):
+        raise StoreInconsistentError(
+            f"store {path} was not computed for the program these changes start from "
+            f"({len(old)} vertices): it holds {len(keys)} facts for {len(stored)} "
+            f"vertices, {len(stored - old)} of them not in that program")
 
 
 def cmd_verify(args) -> int:

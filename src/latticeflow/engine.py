@@ -27,12 +27,12 @@ folded in ascending sender order, so runs are bit-reproducible. Facts are
 immutable (see ``lattice``), so one fact object may reach many vertices.
 
 ``seed_and_run`` is the optimized algorithm with caller-supplied
-superstep-0 state (per-vertex facts, pending messages, active set); the
-incremental pipeline uses it to resume analysis on a sub-graph.
+superstep-0 state; the incremental pipeline uses it to resume analysis on
+the updated graph, seeded on the successor-closed affected set.
 
 Termination is only guaranteed for monotone clients over finite-height
-lattices, so every run carries a superstep cap (default ``10 * |V|``) and
-raises ``NonConvergenceError`` instead of looping.
+lattices, so every run carries a superstep cap (default ten times the
+vertices it covers) and raises ``NonConvergenceError`` instead of looping.
 """
 
 from __future__ import annotations
@@ -125,29 +125,29 @@ def seed_and_run(g: SuperGraph, analysis: Analysis, config: EngineConfig,
                  initial_active: Sequence[VertexId]) -> AnalysisResult:
     """The optimized algorithm with caller-supplied superstep-0 state.
 
-    ``initial_in``/``initial_out`` must cover exactly ``g``'s vertices;
-    message targets and active vertices must belong to ``g``. An
+    ``initial_in``/``initial_out`` seed the same vertices of ``g``, and the
+    run covers exactly those: message targets and active vertices must be
+    seeded, and so must every successor of a seeded vertex. An
     ``initial_out`` of ``None`` marks a vertex as never computed, as in a
     whole-program run: its first result always propagates, so it need not
     be active at superstep 0 if a predecessor will push to it. Every
-    message target is active at superstep 0. Message sender ids may lie
-    outside the graph (facts seeded from storage for boundary
-    predecessors); they only canonicalize gather order.
+    message target is active at superstep 0. Message sender ids may be
+    unseeded (facts seeded from storage for boundary predecessors); they
+    only canonicalize gather order.
     """
-    vids = set(g.vertices)
-    if set(initial_in) != vids:
-        raise SeedMismatchError("initial_in must cover exactly the graph's vertices")
-    if set(initial_out) != vids:
-        raise SeedMismatchError("initial_out must cover exactly the graph's vertices")
-    bad_targets = set(initial_messages) - vids
-    if bad_targets:
-        raise SeedMismatchError(f"messages target unknown vertices {sorted(bad_targets)}")
-    bad_active = set(initial_active) - vids
-    if bad_active:
-        raise SeedMismatchError(f"active set references unknown vertices {sorted(bad_active)}")
+    seeded = initial_in.keys()
+    if initial_out.keys() != seeded or not seeded <= g.vertices.keys():
+        raise SeedMismatchError("initial_in and initial_out must seed the same graph vertices")
+    stray = (initial_messages.keys() | set(initial_active)) - seeded
+    if stray:
+        raise SeedMismatchError(f"messages or active set name unseeded vertices {sorted(stray)}")
+    escapes = sorted((k, d) for k in seeded for d in g.succs(k) if d not in seeded)
+    if escapes:
+        raise SeedMismatchError(f"seeded vertices have unseeded successors: edges {escapes}")
     return _execute(g, analysis, config, Algorithm.OPTIMIZED,
                     dict(initial_in), dict(initial_out),
-                    {k: sorted(v, key=itemgetter(0)) for k, v in initial_messages.items()},
+                    {k: [fact for _, fact in sorted(v, key=itemgetter(0))]
+                     for k, v in initial_messages.items()},
                     set(initial_active))
 
 
@@ -167,13 +167,14 @@ def _execute(g: SuperGraph, analysis: Analysis, config: EngineConfig,
              algorithm: Algorithm,
              in_facts: dict[VertexId, Fact],
              out_facts: dict[VertexId, Fact | None],
-             inbox: dict[VertexId, list[tuple[VertexId, Fact]]],
+             inbox: dict[VertexId, list[Fact]],
              active: set[VertexId]) -> AnalysisResult:
     """Run barriered supersteps over one vertex-state table until quiescence.
 
-    ``in_facts`` and ``out_facts`` are updated in place. Each ``inbox``
-    list must be in ascending sender order; later supersteps keep that
-    order because active vertices are processed in ascending id order.
+    The table's vertices are the keys of ``in_facts``; both fact maps are
+    updated in place. Each ``inbox`` list holds facts in ascending sender
+    order; later supersteps keep that order because active vertices are
+    processed in ascending id order.
     """
     classic = algorithm is Algorithm.CLASSIC
     # Classic gathers pull from the state as of the previous barrier.
@@ -182,7 +183,7 @@ def _execute(g: SuperGraph, analysis: Analysis, config: EngineConfig,
              for vid in g.vertices} if classic else {}
     active = active | set(inbox)  # a pending message activates its target
 
-    cap = config.cap_for(len(g.vertices))
+    cap = config.cap_for(len(in_facts))
     supersteps = 0
     messages_sent = 0
     fact_updates = 0
@@ -197,7 +198,7 @@ def _execute(g: SuperGraph, analysis: Analysis, config: EngineConfig,
         supersteps += 1
         active_counts.append(len(active))
         next_active: set[VertexId] = set()
-        next_inbox: dict[VertexId, list[tuple[VertexId, Fact]]] = {}
+        next_inbox: dict[VertexId, list[Fact]] = {}
         changed: list[tuple[VertexId, Fact]] = []
         for k in sorted(active):
             if classic:
@@ -206,8 +207,7 @@ def _execute(g: SuperGraph, analysis: Analysis, config: EngineConfig,
                 messages_sent += len(gathered)
                 new_in = analysis.merge(gathered, bases[k])
             else:
-                new_in = analysis.merge([fact for (_, fact) in inbox.get(k, ())],
-                                        in_facts[k])
+                new_in = analysis.merge(inbox.get(k, ()), in_facts[k])
             new_out = analysis.transfer(g.vertices[k].stmts, new_in)
             in_facts[k] = new_in
             if analysis.propagate(out_facts[k], new_out):
@@ -219,7 +219,7 @@ def _execute(g: SuperGraph, analysis: Analysis, config: EngineConfig,
                     changed.append((k, new_out))
                 else:
                     for d in succs:
-                        next_inbox.setdefault(d, []).append((k, new_out))
+                        next_inbox.setdefault(d, []).append(new_out)
                     messages_sent += len(succs)
         # Barrier: what superstep t produced becomes visible in t+1.
         snapshot.update(changed)

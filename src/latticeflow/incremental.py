@@ -8,11 +8,11 @@ deleted vertex is gone and seeds nothing), then closes the seed set under
 successor reachability: once a vertex's fact may change, so may every
 vertex downstream of it. The closure runs as barriered frontier expansion,
 one superstep per wave, and labels each affected vertex with the change
-categories -- additions, deletions, changes -- that reached it. The
-affected vertices and the edges among them form the sub-graph on which
-analysis resumes; by construction no edge of the updated graph leads from
-an affected vertex to an unaffected one, so the unaffected region keeps its
-previous facts untouched.
+categories -- additions, deletions, changes -- that reached it. Analysis
+resumes on the updated graph itself, seeded on the affected set only; by
+construction no edge of the updated graph leads from an affected vertex to
+an unaffected one, so the run never reaches the unaffected region, which
+keeps its previous facts untouched.
 
 Both update strategies take that one labeled closure; they differ only in
 which affected vertices they reuse. A vertex reached only by additions
@@ -59,7 +59,6 @@ from .cfg import (
     added_edges,
     added_vertices,
     deleted_vertices,
-    induced_subgraph,
 )
 from .engine import AnalysisResult, EngineConfig, seed_and_run
 from .errors import StoreInconsistentError
@@ -85,7 +84,7 @@ _SEEDS: dict[ChangeKind, tuple[int, tuple[str, ...]]] = {
 
 @dataclass(frozen=True)
 class ImpactResult:
-    """Affected vertex sets plus the induced sub-graph and its boundary.
+    """Affected vertex sets plus the boundary of the affected region.
 
     ``boundary_preds`` maps each affected vertex to the predecessors whose
     stored outgoing facts must seed its pending messages. ``reuse`` is the
@@ -97,7 +96,6 @@ class ImpactResult:
     affected_add: frozenset[VertexId]
     affected_delete: frozenset[VertexId]
     affected_change: frozenset[VertexId]
-    sub_graph: SuperGraph
     boundary_preds: Mapping[VertexId, frozenset[VertexId]]
     reuse: frozenset[VertexId]
 
@@ -198,7 +196,6 @@ def build_impact(batch: ChangeBatch, new_graph: SuperGraph, *, per_kind: bool) -
         affected_add=add,
         affected_delete=delete,
         affected_change=change,
-        sub_graph=induced_subgraph(new_graph, affected),
         boundary_preds=boundary,
         reuse=reuse,
     )
@@ -206,13 +203,13 @@ def build_impact(batch: ChangeBatch, new_graph: SuperGraph, *, per_kind: bool) -
 
 def run_incremental_naive(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore,
                           analysis: Analysis, config: EngineConfig) -> IncrementalRun:
-    """Re-analyze the affected sub-graph from the initial element."""
+    """Re-analyze the affected vertices from the initial element."""
     return _run_incremental(new_graph, batch, store, analysis, config, per_kind=False)
 
 
 def run_incremental_optimized(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore,
                               analysis: Analysis, config: EngineConfig) -> IncrementalRun:
-    """Re-analyze the affected sub-graph, warm-starting add-only vertices."""
+    """Re-analyze the affected vertices, warm-starting add-only vertices."""
     return _run_incremental(new_graph, batch, store, analysis, config, per_kind=True)
 
 
@@ -221,7 +218,7 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
                      *, per_kind: bool) -> IncrementalRun:
     if not batch:
         empty = ImpactResult(frozenset(), frozenset(), frozenset(), frozenset(),
-                             SuperGraph({}, ()), {}, frozenset())
+                             {}, frozenset())
         zero = AnalysisResult(in_facts={}, out_facts={}, supersteps=0,
                               messages_sent=0, fact_updates=0)
         return IncrementalRun(impact=empty, result=zero, purged=frozenset())
@@ -269,7 +266,7 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
     # a vertex unreachable in the old version still holds the initial
     # element there.
     active = sorted(live_reuse | (impact.affected_all & new_graph.entries))
-    result = seed_and_run(impact.sub_graph, analysis, config,
+    result = seed_and_run(new_graph, analysis, config,
                           initial_in, initial_out, messages, active)
 
     purged = deleted_vertices(batch)

@@ -268,15 +268,19 @@ def _incremental_on(capsys, store_path, changes):
 
 
 def test_incremental_on_truncated_store_header_exits_2(capsys, tmp_path):
+    # Every cut of the file, in the header, inside a record or at a record
+    # boundary (a store missing the facts of some vertices).
     store_path, _ = _analyze(capsys, tmp_path, "diamond_rd.cfg", "rd")
     blob = store_path.read_bytes()
     header_len = len(b"LFSTORE1") + 4 + len(lf.reaching_defs().fingerprint())
+    assert header_len < len(blob)
     changes = _empty_changes(tmp_path)
-    for cut in range(header_len):
+    for cut in range(len(blob)):
         store_path.write_bytes(blob[:cut])
         code, _, err = _incremental_on(capsys, store_path, changes)
         assert code == cli.EXIT_USAGE, cut
-        assert err.startswith("error:"), cut
+        assert err.startswith("error:") and err.count("\n") == 1, cut
+        assert store_path.read_bytes() == blob[:cut], cut
 
 
 def test_incremental_on_non_utf8_fingerprint_exits_2(capsys, tmp_path):
@@ -299,23 +303,32 @@ def test_incremental_on_non_utf8_fingerprint_exits_2(capsys, tmp_path):
     (("analyze", "--cfg", "{big_id}", "--analysis", "rd", "--store", "{out}"), "line 1"),
     (("analyze", "--cfg", "{cfg}", "--analysis", "cache",
       "--sets", str(MAX_CACHE_SETS + 1), "--store", "{out}"), str(MAX_CACHE_SETS)),
+    # A store of chain10 (vertices 1..10) for changes that start from
+    # incr_demo_old (vertices 1..8).
+    (("incremental", "--cfg", "{demo_new}", "--changes", "{demo_changes}",
+      "--store", "{chain_store}"), "2 of them not in that program"),
 ], ids=["cfg-not-utf8", "diff-cfg-not-utf8", "changes-not-utf8", "vertex-id-2**64",
-        "sets-past-bound"])
+        "sets-past-bound", "store-of-another-program"])
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
     store, _ = _analyze(capsys, tmp_path, "diamond_rd.cfg", "rd")
+    chain_store, _ = _analyze(capsys, tmp_path, "chain10.cfg", "rd")
+    stored = {path: path.read_bytes() for path in (store, chain_store)}
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes(b"V 1 entry def x d\xff\n")
     big_id = tmp_path / "big_id.cfg"
     big_id.write_text(f"V {2 ** 64} entry def x d\n")
     out = tmp_path / "out"
     paths = {"latin1": latin1, "big_id": big_id, "out": out, "store": store,
-             "cfg": fixture_path("diamond_rd.cfg")}
+             "chain_store": chain_store, "cfg": fixture_path("diamond_rd.cfg"),
+             "demo_new": fixture_path("incr_demo_new.cfg"),
+             "demo_changes": fixture_path("incr_demo.changes")}
     code, stdout, err = _run(capsys, *(a.format(**paths) for a in argv))
     assert code == cli.EXIT_USAGE
     assert stdout == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert named in err
     assert not out.exists()
+    assert {path: path.read_bytes() for path in stored} == stored
 
 
 def test_largest_vertex_id_round_trips_through_analyze(capsys, tmp_path):

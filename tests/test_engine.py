@@ -177,6 +177,21 @@ def test_seed_and_run_validates_coverage():
                         {99: [(1, analysis.initial())]}, [])
     with pytest.raises(lf.SeedMismatchError):
         lf.seed_and_run(g, analysis, lf.EngineConfig(), good_in, good_out, {}, [99])
+    # Vertex 1 is seeded but its successors 2 and 3 are not.
+    with pytest.raises(lf.SeedMismatchError):
+        lf.seed_and_run(g, analysis, lf.EngineConfig(), {1: analysis.initial()},
+                        {1: None}, {}, [1])
+    with pytest.raises(lf.SeedMismatchError):
+        lf.seed_and_run(g, analysis, lf.EngineConfig(), {**good_in, 99: analysis.initial()},
+                        {**good_out, 99: None}, {}, [])
+    # {2, 4} is closed under successors: the run covers it and nothing else.
+    whole = lf.run_optimized(g, analysis, lf.EngineConfig())
+    part = lf.seed_and_run(g, analysis, lf.EngineConfig(),
+                           {2: analysis.initial(), 4: analysis.initial()},
+                           {2: None, 4: None}, {2: [(1, whole.out_facts[1])]}, [])
+    assert part.in_facts.keys() == part.out_facts.keys() == {2, 4}
+    assert part.out_facts[2] == whole.out_facts[2]
+    assert part.supersteps == 2
 
 
 @pytest.mark.parametrize("make", [lf.reaching_defs, lf.const_prop, lf.lru_must_cache])

@@ -5,11 +5,13 @@ affected sets and boundary sources; randomized (graph, edit) pairs check
 incremental results against from-scratch runs.
 """
 
+import json
 import random
 
 import pytest
 
 import latticeflow as lf
+from latticeflow import cli
 from latticeflow.cfg import _ADD_KINDS, _CHANGE_KINDS, _DELETE_KINDS, ChangeKind
 from latticeflow.incremental import build_impact
 from latticeflow.store import Slot, StoreKey
@@ -89,7 +91,9 @@ def test_impact_naive_worked_example():
     _, new, batch = _example()
     impact = build_impact(batch, new, per_kind=False)
     assert impact.affected_all == {1, 4, 5, 6, 7, 8}
-    assert set(impact.sub_graph.vertices) == {1, 4, 5, 6, 7, 8}
+    # Closed under successors: a run seeded on exactly these vertices of
+    # the updated graph never reaches beyond them.
+    assert {d for k in impact.affected_all for d in new.succs(k)} <= {1, 4, 5, 6, 7, 8}
     assert impact.boundary_preds[4] == {3}
     assert all(not impact.boundary_preds[k] for k in (1, 5, 6, 7, 8))
     assert impact.reuse == frozenset()
@@ -133,12 +137,33 @@ def test_closure_soundness_no_edge_escapes():
         assert affected[0] == affected[1]
 
 
-def test_subgraph_edges_are_the_induced_ones():
-    _, new, batch = _example()
-    impact = build_impact(batch, new, per_kind=False)
-    expected = {(u, v) for (u, v) in new.edges
-                if u in impact.affected_all and v in impact.affected_all}
-    assert impact.sub_graph.edges == expected
+def test_subgraph_edges_are_the_induced_ones(capsys, tmp_path):
+    # The report's sub_cfg counts the sub-graph that the affected set
+    # induces in the updated graph: the worked example, then random edits.
+    rng = random.Random(67)
+    old, new, _ = _example()
+    cases = [(old, new)]
+    while len(cases) < 16:
+        old = random_graph(rng, max_vertices=20, max_edges=50)
+        cases.append((old, random_edit(rng, old)))
+    old_cfg, new_cfg = tmp_path / "old.cfg", tmp_path / "new.cfg"
+    changes, store = tmp_path / "edit.changes", tmp_path / "old.store"
+    for old, new in cases:
+        batch = lf.diff_graphs(old, new)
+        old_cfg.write_text(lf.render_graph(old))
+        new_cfg.write_text(lf.render_graph(new))
+        changes.write_text(lf.render_changes(batch))
+        affected = build_impact(batch, new, per_kind=False).affected_all
+        expected = {(u, v) for (u, v) in new.edges if u in affected and v in affected}
+        for mode in ("naive", "opt"):
+            assert cli.main(["analyze", "--cfg", str(old_cfg), "--analysis", "rd",
+                             "--store", str(store)]) == cli.EXIT_OK
+            capsys.readouterr()
+            assert cli.main(["incremental", "--cfg", str(new_cfg), "--changes", str(changes),
+                             "--store", str(store), "--mode", mode]) == cli.EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            assert report["sub_cfg"]["vertices"] == len(affected)
+            assert report["sub_cfg"]["edges"] == len(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +288,22 @@ def _add_only_edit(rng, old):
 
 def test_seeded_subgraph_run_reconverges_from_boundary_facts():
     # Drive the engine directly the way the naive mode does on the worked
-    # example: affected facts reset, the one boundary predecessor's stored
-    # outgoing fact seeded as a pending message.
+    # example: the updated graph seeded on the affected set, affected facts
+    # reset, the one boundary predecessor's stored outgoing fact seeded as
+    # a pending message.
     old, new, batch = _example()
     analysis = lf.reaching_defs()
     old_result = lf.run_optimized(old, analysis, lf.EngineConfig())
-    impact = build_impact(batch, new, per_kind=False)
-    sub = impact.sub_graph
+    affected = build_impact(batch, new, per_kind=False).affected_all
     seeded = lf.seed_and_run(
-        sub, analysis, lf.EngineConfig(),
-        initial_in={k: analysis.initial() for k in sub.vertices},
-        initial_out={k: analysis.initial() for k in sub.vertices},
+        new, analysis, lf.EngineConfig(),
+        initial_in={k: analysis.initial() for k in affected},
+        initial_out={k: analysis.initial() for k in affected},
         initial_messages={4: [(3, old_result.out_facts[3])]},
-        initial_active=sorted(sub.vertices))
+        initial_active=sorted(affected))
+    assert seeded.in_facts.keys() == seeded.out_facts.keys() == affected
     scratch = lf.run_optimized(new, analysis, lf.EngineConfig())
-    for k in sub.vertices:
+    for k in affected:
         assert seeded.in_facts[k] == scratch.in_facts[k]
         assert seeded.out_facts[k] == scratch.out_facts[k]
 

@@ -85,6 +85,6 @@ from .stmts import (
     Stmts,
     UseStmt,
 )
-from .store import FactStore, Slot, StoreKey, write_result
+from .store import FactStore
 
 __version__ = "0.1.0"

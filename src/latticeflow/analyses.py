@@ -18,7 +18,7 @@ Three analyses exercise both lattice directions and both merge operators:
   which is this analysis's ``entry_fact``.
 
 Facts serialize to canonical JSON so equal facts always produce equal
-bytes.
+bytes, and ``decode`` rejects a payload of any shape ``encode`` never writes.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ def _check_stmts(stmts: Stmts) -> None:
 
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _require(ok: bool, what: str) -> None:
+    """Reject a payload of a shape ``encode`` never writes."""
+    if not ok:
+        raise ValueError(what)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +97,9 @@ class ReachingDefs(Analysis):
 
     def decode(self, data: bytes) -> ReachingDefsFact:
         pairs = json.loads(data.decode("utf-8"))
+        _require(type(pairs) is list and all(
+            type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is str for p in pairs),
+            "not a list of [definition, variable] string pairs")
         return ReachingDefsFact(frozenset((d, v) for (d, v) in pairs))
 
 
@@ -183,6 +192,9 @@ class ConstProp(Analysis):
 
     def decode(self, data: bytes) -> ConstPropFact:
         obj = json.loads(data.decode("utf-8"))
+        _require(type(obj) is dict and all(
+            val is None or type(val) is int and -_I64_SIGN <= val < _I64_SIGN
+            for val in obj.values()), "not an object of 64-bit integers and nulls")
         return ConstPropFact({var: (TOP if val is None else val)
                               for var, val in obj.items()})
 
@@ -226,6 +238,8 @@ class CacheFact:
             return False
         return block in self.sets[block % set_count]
 
+
+_UNREACHED = b'{"unreached":true}'
 
 # Every cache fact holds one slot per set, so the set count sizes every fact
 # (associativity allocates nothing). Checked before anything is allocated.
@@ -303,18 +317,25 @@ class LruMustCache(Analysis):
         # without building that object. Sorting whole '"b":age' items sorts
         # by key: a key's closing quote sorts below every character of an id.
         if fact.unreached:
-            return b'{"unreached":true}'
+            return _UNREACHED
         sets = ",".join([
             "{" + ",".join(sorted([f'"{b}":{age}' for b, age in s.items()])) + "}"
             if s else "{}" for s in fact.sets])
         return f'{{"sets":[{sets}]}}'.encode("ascii")
 
     def decode(self, data: bytes) -> CacheFact:
-        obj = json.loads(data.decode("utf-8"))
-        if obj.get("unreached"):
+        if data == _UNREACHED:
             return CacheFact(unreached=True, sets=())
+        obj = json.loads(data.decode("utf-8"))
+        sets = obj.get("sets") if type(obj) is dict and len(obj) == 1 else None
+        _require(type(sets) is list and len(sets) == self.sets and
+                 all(type(s) is dict for s in sets), f"not unreached and not {self.sets} sets")
+        _require(all(b.isdigit() and int(b) % self.sets == idx and
+                     type(age) is int and 0 <= age < self.assoc
+                     for idx, s in enumerate(sets) for b, age in s.items()),
+                 f"a block outside its set or an age outside 0 to {self.assoc - 1}")
         return CacheFact(False, tuple({int(b): age for b, age in s.items()}
-                                      for s in obj["sets"]))
+                                      for s in sets))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .errors import (
     StoreInconsistentError,
 )
 from .lattice import Analysis
-from .store import FactStore, write_result
+from .store import FactStore
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1
@@ -177,8 +177,7 @@ def cmd_analyze(args) -> int:
         algorithm=Algorithm.CLASSIC if args.algo == "classic" else Algorithm.OPTIMIZED,
         superstep_cap=args.superstep_cap)
     result = engine.run(graph, analysis, config)
-    store = FactStore.create(args.store, analysis)
-    write_result(store, result.in_facts, result.out_facts)
+    FactStore.create(args.store, analysis).batch_put(result.in_facts, result.out_facts)
     report = {
         "command": "analyze",
         "analysis": analysis.name,
@@ -246,15 +245,14 @@ def cmd_incremental(args) -> int:
 
 def _check_store_matches_old_version(store: FactStore, path: str, graph: SuperGraph,
                                      batch: ChangeBatch) -> None:
-    """Refuse a store without both slots of exactly the old version's vertices."""
+    """Refuse a store whose vertices are not exactly the old version's."""
     old = (set(graph.vertices) - added_vertices(batch)) | deleted_vertices(batch)
-    keys = store.snapshot().keys()
-    stored = {key.vertex for key in keys}
-    if stored != old or len(keys) != 2 * len(old):
+    stored = store.vertices()
+    if stored != old:
         raise StoreInconsistentError(
             f"store {path} was not computed for the program these changes start from "
-            f"({len(old)} vertices): it holds {len(keys)} facts for {len(stored)} "
-            f"vertices, {len(stored - old)} of them not in that program")
+            f"({len(old)} vertices): it holds facts for {len(stored)} vertices, "
+            f"{len(stored - old)} of them not in that program")
 
 
 def cmd_verify(args) -> int:

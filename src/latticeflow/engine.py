@@ -151,9 +151,14 @@ def seed_and_run(g: SuperGraph, analysis: Analysis, config: EngineConfig,
                     set(initial_active))
 
 
-def _whole_program_seeds(g: SuperGraph, analysis: Analysis):
+def require_entries(g: SuperGraph) -> None:
+    """Refuse a non-empty graph without entry vertices: no fact reaches it."""
     if g.vertices and not g.entries:
         raise GraphError("graph has no entry vertices")
+
+
+def _whole_program_seeds(g: SuperGraph, analysis: Analysis):
+    require_entries(g)
     initial_in = {}
     initial_out: dict[VertexId, Fact | None] = {}
     for vid in g.vertices:

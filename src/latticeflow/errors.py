@@ -60,10 +60,6 @@ class WrongAnalysisError(StoreError):
 class StoreDecodeError(StoreError):
     """A stored fact payload could not be decoded."""
 
-    def __init__(self, message: str, key: object = None):
-        self.key = key
-        super().__init__(message)
-
 
 class StoreIOError(StoreError):
     """Reading or writing the backing file failed."""

@@ -41,9 +41,11 @@ Affected vertices that are unreachable from the updated graph's entries
 stay inert: a whole-program worklist never processes them, so they are
 reset, get no messages and end with the initial element.
 
-Both strategies finish with one store commit that writes the affected
-vertices' facts and purges deleted vertices; the resulting store equals a
-from-scratch analysis of the updated graph.
+The store holds one IN/OUT pair per vertex: a warm-started vertex reads
+its pair, a boundary predecessor only its OUT. Both strategies finish with
+one store commit that writes the affected vertices' pairs and purges
+deleted vertices; the resulting store equals a from-scratch analysis of
+the updated graph.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ from .cfg import (
     added_vertices,
     deleted_vertices,
 )
-from .engine import AnalysisResult, EngineConfig, seed_and_run
+from .engine import AnalysisResult, EngineConfig, require_entries, seed_and_run
 from .errors import StoreInconsistentError
 from .lattice import Analysis, Fact
-from .store import FactStore, Slot, StoreKey, write_result
+from .store import FactStore
 
 _ADD, _DELETE, _CHANGE = 1, 2, 4
 
@@ -216,6 +218,7 @@ def run_incremental_optimized(new_graph: SuperGraph, batch: ChangeBatch, store: 
 def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore,
                      analysis: Analysis, config: EngineConfig,
                      *, per_kind: bool) -> IncrementalRun:
+    require_entries(new_graph)
     if not batch:
         empty = ImpactResult(frozenset(), frozenset(), frozenset(), frozenset(),
                              {}, frozenset())
@@ -236,12 +239,10 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
     initial_in: dict[VertexId, Fact] = {}
     initial_out: dict[VertexId, Fact | None] = {}
     reused = sorted(live_reuse)
-    stored = store.batch_get([StoreKey(k, slot) for k in reused for slot in (Slot.IN, Slot.OUT)])
-    for k, in_fact, out_fact in zip(reused, stored[::2], stored[1::2]):
-        if in_fact is None or out_fact is None:
+    for k, pair in zip(reused, store.batch_get(reused)):
+        if pair is None:
             raise StoreInconsistentError(f"no stored facts for warm-started vertex {k}")
-        initial_in[k] = in_fact
-        initial_out[k] = out_fact
+        initial_in[k], initial_out[k] = pair
     for k in affected:
         if k in live_reuse:
             continue
@@ -251,7 +252,7 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
 
     wanted = [(k, p) for k in affected if k in reachable
               for p in sorted(impact.boundary_preds[k])]
-    fetched = store.batch_get([StoreKey(p, Slot.OUT) for (_, p) in wanted])
+    fetched = store.batch_get_out([p for (_, p) in wanted])
     messages: dict[VertexId, list[tuple[VertexId, Fact]]] = {}
     for (k, p), fact in zip(wanted, fetched):
         if fact is None:
@@ -270,5 +271,5 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
                           initial_in, initial_out, messages, active)
 
     purged = deleted_vertices(batch)
-    write_result(store, result.in_facts, result.out_facts, purge=purged)
+    store.batch_put(result.in_facts, result.out_facts, purge=purged)
     return IncrementalRun(impact=impact, result=result, purged=purged)

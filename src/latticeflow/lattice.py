@@ -18,8 +18,9 @@ Facts are immutable once handed to an engine, and all three functions must
 be pure: they may not mutate their arguments. The engines rely on this to
 hand one fact object to every successor without copying it. For the same
 reason a client may return an argument it did not change, or build a new
-fact that shares the unchanged parts of one, and a fact store hands one
-decoded object to every key whose payload bytes are equal.
+fact that shares the unchanged parts of one, and a fact store, which holds
+each vertex's IN/OUT pair, hands one decoded object to every stored fact
+whose payload bytes are equal.
 
 ``entry_fact`` is the value assumed to flow into CFG entry vertices. For
 most analyses it coincides with ``initial()``; it exists separately because
@@ -105,7 +106,8 @@ class Analysis(ABC):
 
     @abstractmethod
     def decode(self, data: bytes) -> Fact:
-        """Inverse of ``encode`` up to fact equality."""
+        """Inverse of ``encode`` up to fact equality; raises ``ValueError``
+        for bytes of a shape ``encode`` never writes."""
 
     def fingerprint(self) -> str:
         """Identity string a fact store is bound to."""

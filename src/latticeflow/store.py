@@ -1,17 +1,20 @@
-"""Persistent keyed storage of converged facts between runs.
+"""Persistent per-vertex storage of converged facts between runs.
 
-A store maps ``(vertex, IN|OUT)`` keys to fact payloads serialized by the
-owning analysis; the store itself is payload-agnostic. Every store carries
-the analysis fingerprint it was written with and refuses readers with a
-different one. Facts are immutable (see ``lattice``), so a batch read
-decodes each distinct payload once and shares the fact, and a batch write
-encodes a fact object once for consecutive pairs that hold it.
+A store maps each vertex to its pair of incoming (IN) and outgoing (OUT)
+fact payloads, serialized by the owning analysis: a vertex is stored with
+both facts or not at all. Every store carries the analysis fingerprint it
+was written with and refuses readers with a different one. Facts are
+immutable (see ``lattice``), so a batch read decodes each distinct payload
+once and shares the fact, and a batch write encodes a fact object once for
+consecutive facts that are that object (a vertex's IN and OUT, or one
+vertex's OUT and the next vertex's IN).
 
-Two backends share one class: in-memory (``path=None``) and file-backed.
-The file layout is a single snapshot: a header (magic, format version,
-fingerprint) followed by length-prefixed records sorted by key. Batch
-writes are atomic -- the new snapshot is written to a temporary file and
-renamed over the old one, so an interrupted write leaves the previous
+A store without a path lives in memory. A file-backed store is a single
+snapshot: a header (magic, format version, fingerprint), then two
+length-prefixed records per vertex -- IN, then OUT -- with vertices
+ascending. A file whose records are unpaired or out of that order is
+refused. A batch write renders the new snapshot to a temporary file and
+renames it over the old one, so an interrupted write leaves the previous
 snapshot intact. One writer per store handle; batch calls are not
 re-entrant.
 """
@@ -20,10 +23,8 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, KeysView, Mapping
 
 from .cfg import VertexId
 from .errors import (
@@ -37,43 +38,25 @@ from .lattice import Analysis, Fact
 _MAGIC = b"LFSTORE1"
 _HEADER = struct.Struct("<I")      # fingerprint byte length
 _RECORD = struct.Struct("<QBI")    # vertex id, slot code, payload byte length
+_SLOTS = ("IN", "OUT")             # indexed by slot code
 
-
-class Slot(Enum):
-    IN = 0
-    OUT = 1
-
-
-_SLOTS = (Slot.IN, Slot.OUT)  # indexed by slot code
-
-
-@dataclass(frozen=True)
-class StoreKey:
-    vertex: VertexId
-    slot: Slot
-
-    def sort_key(self) -> tuple[int, int]:
-        return (self.vertex, self.slot.value)
+Entries = dict[VertexId, tuple[bytes, bytes]]
 
 
 class FactStore:
-    """Keyed fact storage bound to one analysis fingerprint."""
+    """Per-vertex IN/OUT facts bound to one analysis fingerprint."""
 
     def __init__(self, analysis: Analysis, path: str | Path | None = None,
-                 _entries: dict[StoreKey, bytes] | None = None):
+                 _entries: Entries | None = None):
         self._analysis = analysis
         self._path = Path(path) if path is not None else None
-        self._entries: dict[StoreKey, bytes] = dict(_entries or {})
-
-    @classmethod
-    def in_memory(cls, analysis: Analysis) -> "FactStore":
-        return cls(analysis)
+        self._entries: Entries = _entries or {}
 
     @classmethod
     def create(cls, path: str | Path, analysis: Analysis) -> "FactStore":
         """Create (or overwrite) a file-backed store."""
         store = cls(analysis, path)
-        store._commit()
+        store._commit(store._entries)
         return store
 
     @classmethod
@@ -96,71 +79,63 @@ class FactStore:
         except OSError as exc:
             raise StoreIOError(f"cannot read store {path}: {exc}") from exc
 
-    @property
-    def analysis(self) -> Analysis:
-        return self._analysis
+    def batch_get(self, vertices: Iterable[VertexId]) -> list[tuple[Fact, Fact] | None]:
+        """Decoded ``(IN, OUT)`` pairs aligned with ``vertices``; None for a
+        vertex with no stored facts. Equal payloads decode to one object."""
+        decode = self._decoder()
+        return [None if (pair := self._entries.get(v)) is None else
+                (decode(v, 0, pair[0]), decode(v, 1, pair[1])) for v in vertices]
 
-    def batch_get(self, keys: Sequence[StoreKey]) -> list[Fact | None]:
-        """Decoded facts positionally aligned with ``keys``; absent -> None.
+    def batch_get_out(self, vertices: Iterable[VertexId]) -> list[Fact | None]:
+        """``batch_get`` of the OUT facts alone, decoding no IN payload."""
+        decode = self._decoder()
+        return [None if (pair := self._entries.get(v)) is None else
+                decode(v, 1, pair[1]) for v in vertices]
 
-        Each distinct payload is decoded once per call: keys whose bytes are
-        equal get one shared (immutable) fact object.
-        """
+    def _decoder(self):
+        """A decode function that decodes each distinct payload once."""
         decoded: dict[bytes, Fact] = {}
-        out: list[Fact | None] = []
-        for key in keys:
-            data = self._entries.get(key)
-            if data is None:
-                out.append(None)
-                continue
+
+        def decode(vertex: VertexId, slot: int, data: bytes) -> Fact:
             fact = decoded.get(data)
             if fact is None:
                 try:
-                    fact = self._analysis.decode(data)
+                    fact = decoded[data] = self._analysis.decode(data)
                 except Exception as exc:
-                    raise StoreDecodeError(f"cannot decode fact at {key}: {exc}",
-                                           key=key) from exc
-                decoded[data] = fact
-            out.append(fact)
-        return out
+                    raise StoreDecodeError(f"cannot decode the {_SLOTS[slot]} fact "
+                                           f"of vertex {vertex}: {exc}") from exc
+            return fact
+        return decode
 
-    def get(self, key: StoreKey) -> Fact | None:
-        return self.batch_get([key])[0]
-
-    def batch_put(self, pairs: Iterable[tuple[StoreKey, Fact]],
+    def batch_put(self, in_facts: Mapping[VertexId, Fact], out_facts: Mapping[VertexId, Fact],
                   purge: Iterable[VertexId] = ()) -> None:
-        """Write pairs and drop both slots of each ``purge`` vertex in one
-        all-or-nothing commit; later duplicates win, and a purged vertex
-        keeps no slot even if ``pairs`` names it."""
+        """Store the IN and OUT fact of every vertex of ``in_facts`` and drop
+        the ``purge`` vertices, even ones ``in_facts`` names, in one commit."""
         doomed = set(purge)
-        if doomed:
-            staged = {key: data for key, data in self._entries.items()
-                      if key.vertex not in doomed}
-        else:
-            staged = dict(self._entries)
-        # Kernels hand on facts they do not change, so consecutive pairs (a
-        # vertex's IN and OUT, a chain's next IN) often hold one object.
-        last = data = None
-        for key, fact in pairs:
-            if key.vertex in doomed:
-                continue
-            if data is None or fact is not last:
-                last, data = fact, self._analysis.encode(fact)
-            staged[key] = data
+        staged = {v: pair for v, pair in self._entries.items() if v not in doomed}
+        encode = self._analysis.encode
+        last = data = None  # facts are never None
+        for vertex in sorted(in_facts.keys() - doomed):
+            in_fact, out_fact = in_facts[vertex], out_facts[vertex]
+            if in_fact is not last:
+                last, data = in_fact, encode(in_fact)
+            in_data = data
+            if out_fact is not last:
+                last, data = out_fact, encode(out_fact)
+            staged[vertex] = (in_data, data)
         self._commit(staged)
         self._entries = staged
 
-    def keys(self) -> list[StoreKey]:
-        return sorted(self._entries, key=StoreKey.sort_key)
+    def vertices(self) -> KeysView[VertexId]:
+        return self._entries.keys()
 
-    def snapshot(self) -> dict[StoreKey, bytes]:
-        """Raw byte contents, for equality checks between runs."""
+    def snapshot(self) -> Entries:
+        """Raw ``(IN, OUT)`` payload bytes per vertex, for equality checks."""
         return dict(self._entries)
 
-    def _commit(self, staged: dict[StoreKey, bytes] | None = None) -> None:
+    def _commit(self, entries: Entries) -> None:
         if self._path is None:
             return
-        entries = self._entries if staged is None else staged
         try:
             blob = _render_snapshot(entries, self._analysis.fingerprint())
             tmp = self._path.with_name(self._path.name + ".tmp")
@@ -171,27 +146,13 @@ class FactStore:
             raise StoreIOError(f"cannot write store {self._path}: {exc}") from exc
 
 
-def write_result(store: FactStore, in_facts: dict[VertexId, Fact],
-                 out_facts: dict[VertexId, Fact],
-                 purge: Iterable[VertexId] = ()) -> None:
-    """Store both slots for every vertex of an analysis result and drop the
-    ``purge`` vertices, in one commit."""
-    pairs = []
-    for vid in sorted(in_facts):
-        pairs.append((StoreKey(vid, Slot.IN), in_facts[vid]))
-        pairs.append((StoreKey(vid, Slot.OUT), out_facts[vid]))
-    store.batch_put(pairs, purge)
-
-
-def _render_snapshot(entries: dict[StoreKey, bytes], fingerprint: str) -> bytes:
-    chunks = [_MAGIC]
+def _render_snapshot(entries: Entries, fingerprint: str) -> bytes:
     fp = fingerprint.encode("utf-8")
-    chunks.append(_HEADER.pack(len(fp)))
-    chunks.append(fp)
-    for key in sorted(entries, key=StoreKey.sort_key):
-        data = entries[key]
-        chunks.append(_RECORD.pack(key.vertex, key.slot.value, len(data)))
-        chunks.append(data)
+    chunks = [_MAGIC, _HEADER.pack(len(fp)), fp]
+    for vertex in sorted(entries):
+        in_data, out_data = entries[vertex]
+        chunks += (_RECORD.pack(vertex, 0, len(in_data)), in_data,
+                   _RECORD.pack(vertex, 1, len(out_data)), out_data)
     return b"".join(chunks)
 
 
@@ -216,25 +177,39 @@ def _read_header(fh: BinaryIO, path: Path) -> str:
         raise StoreError(f"{path} has a fingerprint that is not UTF-8") from None
 
 
-def _read_snapshot(path: Path) -> tuple[dict[StoreKey, bytes], str]:
+def _read_snapshot(path: Path) -> tuple[Entries, str]:
     try:
         with open(path, "rb") as fh:
             fingerprint = _read_header(fh, path)
             blob = fh.read()
     except OSError as exc:
         raise StoreIOError(f"cannot read store {path}: {exc}") from exc
-    view = memoryview(blob)
+    entries: Entries = {}
     offset = 0
-    entries: dict[StoreKey, bytes] = {}
-    while offset < len(view):
-        if offset + _RECORD.size > len(view):
-            raise StoreError(f"{path} is truncated")
-        vertex, slot_code, size = _RECORD.unpack_from(view, offset)
-        offset += _RECORD.size
-        if offset + size > len(view):
-            raise StoreError(f"{path} is truncated")
-        if slot_code >= len(_SLOTS):
-            raise StoreError(f"{path} has an invalid slot code {slot_code}")
-        entries[StoreKey(vertex, _SLOTS[slot_code])] = bytes(view[offset:offset + size])
-        offset += size
+    previous = -1
+    while offset < len(blob):
+        vertex, slot, in_data, offset = _read_record(blob, offset, path)
+        if slot != 0:
+            raise StoreError(f"{path} has an OUT record without an IN record at vertex {vertex}")
+        if vertex <= previous:
+            raise StoreError(f"{path} has records out of order at vertex {vertex}")
+        out_vertex, slot, out_data, offset = _read_record(blob, offset, path)
+        if (out_vertex, slot) != (vertex, 1):
+            raise StoreError(f"{path} has an IN record without an OUT record at vertex {vertex}")
+        entries[vertex] = (in_data, out_data)
+        previous = vertex
     return entries, fingerprint
+
+
+def _read_record(blob: bytes, offset: int, path: Path) -> tuple[VertexId, int, bytes, int]:
+    """Vertex, slot code and payload of the record at ``offset``, and the
+    offset after it."""
+    if offset + _RECORD.size > len(blob):
+        raise StoreError(f"{path} is truncated")
+    vertex, slot, size = _RECORD.unpack_from(blob, offset)
+    offset += _RECORD.size
+    if offset + size > len(blob):
+        raise StoreError(f"{path} is truncated")
+    if slot >= len(_SLOTS):
+        raise StoreError(f"{path} has an invalid slot code {slot}")
+    return vertex, slot, blob[offset:offset + size], offset + size

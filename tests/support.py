@@ -9,6 +9,7 @@ independent of the implementation they check.
 from __future__ import annotations
 
 import random
+import struct
 from pathlib import Path
 
 import latticeflow as lf
@@ -25,6 +26,30 @@ def fixture_path(name: str) -> Path:
 
 def load_fixture(name: str) -> lf.SuperGraph:
     return lf.parse_graph(fixture_path(name).read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# Store files, read by the documented layout: magic, fingerprint length and
+# fingerprint, then records of (vertex, slot code, payload length, payload)
+
+STORE_RECORD = struct.Struct("<QBI")
+
+
+def split_store(blob: bytes) -> tuple[bytes, list[tuple[int, int, bytes]]]:
+    """The header of a store file and its records as (vertex, slot code, payload)."""
+    offset = 12 + int.from_bytes(blob[8:12], "little")
+    header, records = blob[:offset], []
+    while offset < len(blob):
+        vertex, code, size = STORE_RECORD.unpack_from(blob, offset)
+        offset += STORE_RECORD.size
+        records.append((vertex, code, blob[offset:offset + size]))
+        offset += size
+    return header, records
+
+
+def join_store(header: bytes, records: list[tuple[int, int, bytes]]) -> bytes:
+    return header + b"".join(STORE_RECORD.pack(vertex, code, len(payload)) + payload
+                             for vertex, code, payload in records)
 
 
 # ---------------------------------------------------------------------------

@@ -73,20 +73,20 @@ def test_criterion_2_incremental_equals_scratch():
         for idx, (old, new, batch) in enumerate(pairs):
             old_result = lf.run_optimized(old, analysis, config)
             scratch_result = lf.run_optimized(new, analysis, config)
-            scratch = lf.FactStore.in_memory(analysis)
-            lf.write_result(scratch, scratch_result.in_facts, scratch_result.out_facts)
+            scratch = lf.FactStore(analysis)
+            scratch.batch_put(scratch_result.in_facts, scratch_result.out_facts)
             expected = scratch.snapshot()
             for runner in (lf.run_incremental_naive, lf.run_incremental_optimized):
-                store = lf.FactStore.in_memory(analysis)
-                lf.write_result(store, old_result.in_facts, old_result.out_facts)
+                store = lf.FactStore(analysis)
+                store.batch_put(old_result.in_facts, old_result.out_facts)
                 before = store.snapshot()
                 run = runner(new, batch, store, analysis, config)
                 after = store.snapshot()
                 assert after == expected, (name, idx, runner.__name__)
                 untouched = set(new.vertices) - set(run.impact.affected_all)
-                for key, blob in before.items():
-                    if key.vertex in untouched:
-                        assert after[key] == blob, (name, idx, key)
+                for vertex, pair in before.items():
+                    if vertex in untouched:
+                        assert after[vertex] == pair, (name, idx, vertex)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"incremental sweep took {elapsed:.1f}s"
     _announce(2, f"incremental == scratch on 100 edit pairs x 3 analyses, "
@@ -136,8 +136,8 @@ def test_criterion_4_superstep_economy():
     reports = {}
     for mode, runner in (("naive", lf.run_incremental_naive),
                          ("opt", lf.run_incremental_optimized)):
-        store = lf.FactStore.in_memory(analysis)
-        lf.write_result(store, base.in_facts, base.out_facts)
+        store = lf.FactStore(analysis)
+        store.batch_put(base.in_facts, base.out_facts)
         run = runner(new, batch, store, analysis, config)
         reports[mode] = run.result.to_report()
 

@@ -9,8 +9,7 @@ import pytest
 import latticeflow as lf
 from latticeflow import cli, engine
 from latticeflow.analyses import MAX_CACHE_SETS
-from latticeflow.store import Slot, StoreKey
-from support import fixture_path
+from support import STORE_RECORD, fixture_path, join_store, split_store
 
 
 def _run(capsys, *argv):
@@ -32,7 +31,7 @@ def test_analyze_diamond_writes_expected_store(capsys, tmp_path):
     store_path, report = _analyze(capsys, tmp_path, "diamond_rd.cfg", "rd",
                                   "--algo", "opt", "--workers", "4")
     store = lf.FactStore.open(store_path, lf.reaching_defs())
-    in_4 = store.get(StoreKey(4, Slot.IN))
+    [(in_4, _)] = store.batch_get([4])
     assert in_4.defs == {("d1", "x"), ("d2", "y"), ("d3", "x")}
     assert report["run"]["supersteps"] >= 1
     assert report["graph"] == {"vertices": 4, "edges": 4}
@@ -307,12 +306,27 @@ def test_incremental_on_non_utf8_fingerprint_exits_2(capsys, tmp_path):
     # incr_demo_old (vertices 1..8).
     (("incremental", "--cfg", "{demo_new}", "--changes", "{demo_changes}",
       "--store", "{chain_store}"), "2 of them not in that program"),
+    # The updated program drops its only entry flag and closes a cycle, so
+    # no vertex is an entry: analyze refuses it, and so must incremental.
+    (("incremental", "--cfg", "{no_entry}", "--changes", "{no_entry_changes}",
+      "--store", "{entry_store}"), "graph has no entry vertices"),
 ], ids=["cfg-not-utf8", "diff-cfg-not-utf8", "changes-not-utf8", "vertex-id-2**64",
-        "sets-past-bound", "store-of-another-program"])
+        "sets-past-bound", "store-of-another-program", "update-without-entries"])
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
     store, _ = _analyze(capsys, tmp_path, "diamond_rd.cfg", "rd")
     chain_store, _ = _analyze(capsys, tmp_path, "chain10.cfg", "rd")
-    stored = {path: path.read_bytes() for path in (store, chain_store)}
+    with_entry = tmp_path / "with_entry.cfg"
+    with_entry.write_text("V 1 entry def x d1\nV 2 use x\nE 1 2\n")
+    no_entry = tmp_path / "no_entry.cfg"
+    no_entry.write_text("V 1 def x d1\nV 2 use x\nE 1 2\nE 2 1\n")
+    entry_store = tmp_path / "entry.store"
+    no_entry_changes = tmp_path / "no_entry.changes"
+    assert cli.main(["analyze", "--cfg", str(with_entry), "--analysis", "rd",
+                     "--store", str(entry_store)]) == cli.EXIT_OK
+    assert cli.main(["diff", "--old", str(with_entry), "--new", str(no_entry),
+                     "--out", str(no_entry_changes)]) == cli.EXIT_OK
+    capsys.readouterr()
+    stored = {path: path.read_bytes() for path in (store, chain_store, entry_store)}
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes(b"V 1 entry def x d\xff\n")
     big_id = tmp_path / "big_id.cfg"
@@ -321,7 +335,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
     paths = {"latin1": latin1, "big_id": big_id, "out": out, "store": store,
              "chain_store": chain_store, "cfg": fixture_path("diamond_rd.cfg"),
              "demo_new": fixture_path("incr_demo_new.cfg"),
-             "demo_changes": fixture_path("incr_demo.changes")}
+             "demo_changes": fixture_path("incr_demo.changes"), "no_entry": no_entry,
+             "no_entry_changes": no_entry_changes, "entry_store": entry_store}
     code, stdout, err = _run(capsys, *(a.format(**paths) for a in argv))
     assert code == cli.EXIT_USAGE
     assert stdout == ""
@@ -329,6 +344,119 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
     assert named in err
     assert not out.exists()
     assert {path: path.read_bytes() for path in stored} == stored
+
+
+def _demo_incremental(capsys, store_path):
+    return _run(capsys, "incremental", "--cfg", str(fixture_path("incr_demo_new.cfg")),
+                "--changes", str(fixture_path("incr_demo.changes")),
+                "--store", str(store_path))
+
+
+def _assert_refused(code, out, err, store_path, blob):
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert store_path.read_bytes() == blob
+
+
+def _with_new_access_vertex(tmp_path):
+    """cache_diamond.cfg plus one access vertex after its join, and the changes."""
+    new = tmp_path / "cache_more.cfg"
+    new.write_text(fixture_path("cache_diamond.cfg").read_text() + "V 5 access 1\nE 4 5\n")
+    changes = tmp_path / "cache_more.changes"
+    assert cli.main(["diff", "--old", str(fixture_path("cache_diamond.cfg")),
+                     "--new", str(new), "--out", str(changes)]) == cli.EXIT_OK
+    return new, changes
+
+
+@pytest.mark.parametrize("analysis,payload", [
+    ("rd", b'[[3,"c"],["d3","c"]]'),
+    ("rd", b'{"d1":"x"}'),
+    ("cp", b'{"x":"x"}'),
+    ("cp", b'{"x":1.5}'),
+    ("cp", b'{"x":true}'),
+    ("cp", b'{"x":[1]}'),
+    ("cp", b'{"x":9223372036854775808}'),
+    ("cache", b'{"sets":[]}'),
+    ("cache", b'{"sets":[{"0":"a"},{},{},{}]}'),
+    ("cache", b'{"sets":[{"1":0},{},{},{}]}'),
+    ("cache", b'{"unreached":false}'),
+])
+def test_wrongly_shaped_store_payload_exits_2(capsys, tmp_path, analysis, payload):
+    # Valid JSON that encode never writes, in every record of the store.
+    if analysis == "cache":
+        old = fixture_path("cache_diamond.cfg")
+        new, changes = _with_new_access_vertex(tmp_path)
+    else:
+        old = fixture_path("incr_demo_old.cfg")
+        new, changes = fixture_path("incr_demo_new.cfg"), fixture_path("incr_demo.changes")
+    store_path = tmp_path / "bad.store"
+    assert cli.main(["analyze", "--cfg", str(old), "--analysis", analysis,
+                     "--store", str(store_path)]) == cli.EXIT_OK
+    header, records = split_store(store_path.read_bytes())
+    blob = join_store(header, [(vertex, code, payload) for vertex, code, _ in records])
+    store_path.write_bytes(blob)
+    capsys.readouterr()
+    code, out, err = _run(capsys, "incremental", "--cfg", str(new), "--changes", str(changes),
+                          "--store", str(store_path))
+    _assert_refused(code, out, err, store_path, blob)
+    assert "cannot decode the" in err
+
+
+# Edits of the incr_demo_old store's records, two per vertex (IN, OUT):
+# r[0], r[1] are vertex 1's, r[2], r[3] vertex 2's, and so on.
+_BAD_RECORDS = {
+    "missing-out": (lambda r: r[:5] + r[6:], "IN record without an OUT record at vertex 3"),
+    "missing-in": (lambda r: r[1:], "OUT record without an IN record at vertex 1"),
+    "out-before-in": (lambda r: [r[1], r[0]] + r[2:],
+                      "OUT record without an IN record at vertex 1"),
+    "out-of-another-vertex": (lambda r: [r[0], r[3], r[2], r[1]] + r[4:],
+                              "IN record without an OUT record at vertex 1"),
+    "vertices-descending": (lambda r: r[:2] + r[4:6] + r[2:4] + r[6:],
+                            "out of order at vertex 2"),
+    "vertex-twice": (lambda r: r[:4] + r[2:], "out of order at vertex 2"),
+    "slot-code-2": (lambda r: r[:3] + [(r[3][0], 2, r[3][2])] + r[4:], "invalid slot code 2"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_BAD_RECORDS))
+def test_incremental_refuses_unpaired_or_misordered_records(capsys, tmp_path, edit):
+    store_path, _ = _analyze(capsys, tmp_path, "incr_demo_old.cfg", "rd")
+    header, records = split_store(store_path.read_bytes())
+    change, message = _BAD_RECORDS[edit]
+    blob = join_store(header, change(records))
+    store_path.write_bytes(blob)
+    code, out, err = _demo_incremental(capsys, store_path)
+    _assert_refused(code, out, err, store_path, blob)
+    assert message in err
+
+
+def test_incremental_survives_every_corrupted_store_byte(capsys, tmp_path):
+    # Each byte of every record header (vertex id, slot code, length) is
+    # changed two ways, and each payload byte has its low bit flipped. A
+    # change may still decode (exit 0); it must never be a traceback.
+    store_path, _ = _analyze(capsys, tmp_path, "incr_demo_old.cfg", "rd")
+    blob = store_path.read_bytes()
+    header, records = split_store(blob)
+    cases = []
+    at = len(header)
+    for _, _, payload in records:
+        cases += [(i, mask) for i in range(at, at + STORE_RECORD.size) for mask in (0x01, 0xFF)]
+        at += STORE_RECORD.size
+        cases += [(i, 0x01) for i in range(at, at + len(payload))]
+        at += len(payload)
+    assert at == len(blob)
+    codes = []
+    for pos, mask in cases:
+        corrupt = bytearray(blob)
+        corrupt[pos] ^= mask
+        store_path.write_bytes(corrupt)
+        code, out, err = _demo_incremental(capsys, store_path)
+        codes.append(code)
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE), (pos, mask, err)
+        if code == cli.EXIT_USAGE:
+            _assert_refused(code, out, err, store_path, corrupt)
+    assert codes.count(cli.EXIT_USAGE) > len(cases) // 2
 
 
 def test_largest_vertex_id_round_trips_through_analyze(capsys, tmp_path):
@@ -340,8 +468,9 @@ def test_largest_vertex_id_round_trips_through_analyze(capsys, tmp_path):
                         "--store", str(store))
     assert code == cli.EXIT_OK, err
     reopened = lf.FactStore.open(store, lf.reaching_defs())
-    assert reopened.keys()[-2:] == [StoreKey(top, Slot.IN), StoreKey(top, Slot.OUT)]
-    assert reopened.get(StoreKey(3, Slot.IN)) == lf.ReachingDefsFact(frozenset({("d1", "x")}))
+    assert max(reopened.vertices()) == top
+    [(in_3, _)] = reopened.batch_get([3])
+    assert in_3 == lf.ReachingDefsFact(frozenset({("d1", "x")}))
 
 
 def test_module_entry_point_runs_the_command(tmp_path):

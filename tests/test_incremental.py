@@ -14,7 +14,6 @@ import latticeflow as lf
 from latticeflow import cli
 from latticeflow.cfg import _ADD_KINDS, _CHANGE_KINDS, _DELETE_KINDS, ChangeKind
 from latticeflow.incremental import build_impact
-from latticeflow.store import Slot, StoreKey
 from support import load_fixture, random_edit, random_graph
 
 ANALYSES = [lf.reaching_defs, lf.const_prop, lf.lru_must_cache]
@@ -27,9 +26,9 @@ def _example():
 
 
 def _converged_store(graph, analysis):
-    store = lf.FactStore.in_memory(analysis)
+    store = lf.FactStore(analysis)
     result = lf.run_optimized(graph, analysis, lf.EngineConfig())
-    lf.write_result(store, result.in_facts, result.out_facts)
+    store.batch_put(result.in_facts, result.out_facts)
     return store
 
 
@@ -206,11 +205,10 @@ def test_worked_example_updates_only_affected(make):
     after = store.snapshot()
     assert after == _scratch_snapshot(new, analysis)
     untouched = set(new.vertices) - set(run.impact.affected_all)
-    for key in before:
-        if key.vertex in untouched:
-            assert after[key] == before[key]
+    for vertex in untouched:
+        assert after[vertex] == before[vertex]
     assert run.purged == {2}
-    assert all(key.vertex != 2 for key in after)
+    assert 2 not in after
 
 
 @pytest.mark.parametrize("make", ANALYSES)
@@ -359,7 +357,7 @@ def test_store_miss_for_boundary_predecessor_raises():
     old, new, batch = _example()
     analysis = lf.reaching_defs()
     store = _converged_store(old, analysis)
-    store.batch_put((), purge={3})  # vertex 3 is the unaffected boundary predecessor
+    store.batch_put({}, {}, purge={3})  # vertex 3 is the unaffected boundary predecessor
     with pytest.raises(lf.StoreInconsistentError):
         lf.run_incremental_naive(new, batch, store, analysis, lf.EngineConfig())
 
@@ -368,7 +366,7 @@ def test_store_miss_for_warm_start_vertex_raises():
     old, new, batch = _example()
     analysis = lf.reaching_defs()
     store = _converged_store(old, analysis)
-    store.batch_put((), purge={8})  # vertex 8 would be warm-started in optimized mode
+    store.batch_put({}, {}, purge={8})  # vertex 8 would be warm-started in optimized mode
     with pytest.raises(lf.StoreInconsistentError):
         lf.run_incremental_optimized(new, batch, store, analysis, lf.EngineConfig())
 
@@ -377,11 +375,11 @@ def test_deleted_vertex_facts_are_purged_only_on_success():
     old, new, batch = _example()
     analysis = lf.reaching_defs()
     store = _converged_store(old, analysis)
-    store.batch_put((), purge={3})
+    store.batch_put({}, {}, purge={3})
     with pytest.raises(lf.StoreInconsistentError):
         lf.run_incremental_naive(new, batch, store, analysis, lf.EngineConfig())
     # The failed run must not have purged the deleted vertex's facts.
-    assert store.get(StoreKey(2, Slot.OUT)) is not None
+    assert 2 in store.vertices()
 
 
 @pytest.mark.parametrize("make", ANALYSES)
@@ -444,7 +442,7 @@ def test_incremental_run_commits_the_store_once(tmp_path, monkeypatch):
     path = tmp_path / "facts.store"
     store = lf.FactStore.create(path, analysis)
     result = lf.run_optimized(old, analysis, lf.EngineConfig())
-    lf.write_result(store, result.in_facts, result.out_facts)
+    store.batch_put(result.in_facts, result.out_facts)
     commits = []
     original = lf.FactStore._commit
     monkeypatch.setattr(lf.FactStore, "_commit",
@@ -454,5 +452,5 @@ def test_incremental_run_commits_the_store_once(tmp_path, monkeypatch):
     assert len(commits) == 1
     fresh = lf.FactStore.create(tmp_path / "fresh.store", analysis)
     scratch = lf.run_optimized(new, analysis, lf.EngineConfig())
-    lf.write_result(fresh, scratch.in_facts, scratch.out_facts)
+    fresh.batch_put(scratch.in_facts, scratch.out_facts)
     assert path.read_bytes() == (tmp_path / "fresh.store").read_bytes()

@@ -126,7 +126,7 @@ def edit_sequences(draw):
 def _analyze_to(path, graph, analysis, config):
     store = lf.FactStore.create(path, analysis)
     result = lf.run_optimized(graph, analysis, config)
-    lf.write_result(store, result.in_facts, result.out_facts)
+    store.batch_put(result.in_facts, result.out_facts)
     return store
 
 

@@ -1,82 +1,95 @@
 import os
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 import latticeflow as lf
-from latticeflow.store import Slot, StoreKey
-from support import random_rd_fact
+from latticeflow import cli
+from support import fixture_path, join_store, random_rd_fact, split_store
+
+# The benchmark's independent store reader, imported the way bench/test_checks.py does.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import oracle  # noqa: E402
 
 
 def _rd(*pairs):
     return lf.ReachingDefsFact(frozenset(pairs))
 
 
+def _put(store, facts):
+    """Store ``{vertex: (IN, OUT)}``."""
+    store.batch_put({v: pair[0] for v, pair in facts.items()},
+                    {v: pair[1] for v, pair in facts.items()})
+
+
 def test_put_then_get_round_trip():
-    store = lf.FactStore.in_memory(lf.reaching_defs())
-    fact = _rd(("d1", "x"))
-    store.batch_put([(StoreKey(1, Slot.OUT), fact)])
-    assert store.get(StoreKey(1, Slot.OUT)) == fact
+    store = lf.FactStore(lf.reaching_defs())
+    pair = (_rd(), _rd(("d1", "x")))
+    _put(store, {1: pair})
+    assert store.batch_get([1]) == [pair]
+    assert list(store.vertices()) == [1]
 
 
 def test_get_of_unknown_key_is_none():
-    store = lf.FactStore.in_memory(lf.reaching_defs())
-    assert store.get(StoreKey(7, Slot.IN)) is None
+    store = lf.FactStore(lf.reaching_defs())
+    _put(store, {1: (_rd(), _rd())})
+    assert store.batch_get([7, 1, 8]) == [None, (_rd(), _rd()), None]
+    assert store.batch_get_out([7, 1]) == [None, _rd()]
 
 
 def test_batch_get_positional_alignment():
     rng = random.Random(3)
-    store = lf.FactStore.in_memory(lf.reaching_defs())
-    keys = [StoreKey(i, Slot.IN if i % 2 else Slot.OUT) for i in range(1000)]
-    facts = {k: random_rd_fact(rng) for k in keys}
-    store.batch_put(list(facts.items()))
-    order = list(keys)
+    store = lf.FactStore(lf.reaching_defs())
+    facts = {v: (random_rd_fact(rng), random_rd_fact(rng)) for v in range(1000)}
+    _put(store, facts)
+    order = list(facts)
     rng.shuffle(order)
     got = store.batch_get(order)
-    for key, fact in zip(order, got):
-        assert fact == facts[key]
-        assert fact == store.get(key)
+    for vertex, pair in zip(order, got):
+        assert pair == facts[vertex]
+        assert [pair] == store.batch_get([vertex])
+    assert store.batch_get_out(order) == [facts[v][1] for v in order]
 
 
 def test_empty_batch_put_is_noop():
-    store = lf.FactStore.in_memory(lf.reaching_defs())
+    store = lf.FactStore(lf.reaching_defs())
+    _put(store, {1: (_rd(), _rd(("d1", "x")))})
     before = store.snapshot()
-    store.batch_put([])
+    store.batch_put({}, {})
     assert store.snapshot() == before
 
 
 def test_overwrite_and_duplicate_in_batch():
-    store = lf.FactStore.in_memory(lf.reaching_defs())
-    key = StoreKey(1, Slot.OUT)
-    store.batch_put([(key, _rd(("d1", "x")))])
-    store.batch_put([(key, _rd(("d2", "y")))])
-    assert store.get(key) == _rd(("d2", "y"))
-    store.batch_put([(key, _rd(("d1", "x"))), (key, _rd(("d3", "z")))])
-    assert store.get(key) == _rd(("d3", "z"))  # later duplicate wins
+    # A batch holds one IN/OUT pair per vertex, so it cannot name a vertex
+    # twice; a later batch replaces the whole pair and leaves others alone.
+    store = lf.FactStore(lf.reaching_defs())
+    _put(store, {1: (_rd(), _rd(("d1", "x"))), 2: (_rd(), _rd(("d2", "y")))})
+    _put(store, {1: (_rd(("d3", "z")), _rd(("d2", "y")))})
+    assert store.batch_get([1, 2]) == [(_rd(("d3", "z")), _rd(("d2", "y"))),
+                                       (_rd(), _rd(("d2", "y")))]
 
 
 def test_purge():
-    store = lf.FactStore.in_memory(lf.reaching_defs())
-    store.batch_put([(StoreKey(1, Slot.IN), _rd()),
-                     (StoreKey(1, Slot.OUT), _rd(("d1", "x"))),
-                     (StoreKey(2, Slot.OUT), _rd(("d2", "y")))])
-    store.batch_put((), purge={1})
-    assert store.get(StoreKey(1, Slot.IN)) is None
-    assert store.get(StoreKey(1, Slot.OUT)) is None
-    assert store.get(StoreKey(2, Slot.OUT)) == _rd(("d2", "y"))
-    store.batch_put((), purge=set())
-    store.batch_put((), purge={42})  # absent vertex: no-op
-    assert store.get(StoreKey(2, Slot.OUT)) == _rd(("d2", "y"))
+    store = lf.FactStore(lf.reaching_defs())
+    _put(store, {1: (_rd(), _rd(("d1", "x"))), 2: (_rd(), _rd(("d2", "y")))})
+    store.batch_put({}, {}, purge={1})
+    assert store.batch_get([1, 2]) == [None, (_rd(), _rd(("d2", "y")))]
+    assert list(store.vertices()) == [2]
+    store.batch_put({}, {}, purge=set())
+    store.batch_put({}, {}, purge={42})  # absent vertex: no-op
+    assert store.batch_get([2]) == [(_rd(), _rd(("d2", "y")))]
 
 
 def test_file_round_trip(tmp_path):
     path = tmp_path / "facts.store"
     analysis = lf.reaching_defs()
     store = lf.FactStore.create(path, analysis)
-    fact = _rd(("d1", "x"), ("d2", "y"))
-    store.batch_put([(StoreKey(3, Slot.OUT), fact)])
+    pair = (_rd(("d1", "x")), _rd(("d1", "x"), ("d2", "y")))
+    _put(store, {3: pair})
     reopened = lf.FactStore.open(path, lf.reaching_defs())
-    assert reopened.get(StoreKey(3, Slot.OUT)) == fact
+    assert reopened.batch_get([3]) == [pair]
     assert reopened.snapshot() == store.snapshot()
 
 
@@ -100,7 +113,7 @@ def test_read_fingerprint_reads_only_the_header(tmp_path):
     path = tmp_path / "facts.store"
     analysis = lf.reaching_defs()
     store = lf.FactStore.create(path, analysis)
-    store.batch_put([(StoreKey(1, Slot.OUT), _rd(("d1", "x")))])
+    _put(store, {1: (_rd(), _rd(("d1", "x")))})
     path.write_bytes(path.read_bytes()[:-1])  # cut into the last record
     assert lf.FactStore.read_fingerprint(path) == analysis.fingerprint()
     with pytest.raises(lf.StoreError, match="truncated"):
@@ -108,18 +121,18 @@ def test_read_fingerprint_reads_only_the_header(tmp_path):
 
 
 def test_decode_error_carries_key():
-    store = lf.FactStore.in_memory(lf.reaching_defs())
-    key = StoreKey(5, Slot.IN)
-    store._entries[key] = b"not json"
-    with pytest.raises(lf.StoreDecodeError) as exc:
-        store.batch_get([key])
-    assert exc.value.key == key
+    store = lf.FactStore(lf.reaching_defs())
+    store._entries[5] = (b"[]", b"not json")
+    with pytest.raises(lf.StoreDecodeError, match="the OUT fact of vertex 5: "):
+        store.batch_get([5])
+    with pytest.raises(lf.StoreDecodeError, match="the OUT fact of vertex 5: "):
+        store.batch_get_out([5])
 
 
 def test_interrupted_batch_put_preserves_previous_snapshot(tmp_path, monkeypatch):
     path = tmp_path / "facts.store"
     store = lf.FactStore.create(path, lf.reaching_defs())
-    store.batch_put([(StoreKey(1, Slot.OUT), _rd(("d1", "x")))])
+    _put(store, {1: (_rd(), _rd(("d1", "x")))})
     good_bytes = path.read_bytes()
 
     def boom(src, dst):
@@ -127,48 +140,48 @@ def test_interrupted_batch_put_preserves_previous_snapshot(tmp_path, monkeypatch
 
     monkeypatch.setattr(os, "replace", boom)
     with pytest.raises(lf.StoreIOError):
-        store.batch_put([(StoreKey(2, Slot.OUT), _rd(("d2", "y")))])
+        _put(store, {2: (_rd(), _rd(("d2", "y")))})
     monkeypatch.undo()
 
     assert path.read_bytes() == good_bytes
     reopened = lf.FactStore.open(path, lf.reaching_defs())
-    assert reopened.get(StoreKey(2, Slot.OUT)) is None
-    assert reopened.get(StoreKey(1, Slot.OUT)) == _rd(("d1", "x"))
+    assert reopened.batch_get([2, 1]) == [None, (_rd(), _rd(("d1", "x")))]
 
 
 def test_snapshot_bytes_are_canonical(tmp_path):
-    # Same logical contents written in different orders: identical files.
+    # Same logical contents written in different orders and batches:
+    # identical files.
     analysis = lf.reaching_defs()
-    pairs = [(StoreKey(i, slot), _rd((f"d{i}", "x")))
-             for i in range(10) for slot in (Slot.IN, Slot.OUT)]
+    facts = {i: (_rd((f"d{i}", "x")), _rd((f"d{i}", "y"))) for i in range(10)}
     a_path, b_path = tmp_path / "a.store", tmp_path / "b.store"
     a = lf.FactStore.create(a_path, analysis)
-    a.batch_put(pairs)
+    _put(a, facts)
     b = lf.FactStore.create(b_path, analysis)
-    b.batch_put(list(reversed(pairs)))
+    backwards = dict(reversed(facts.items()))
+    _put(b, {v: pair for v, pair in backwards.items() if v % 2})
+    _put(b, {v: pair for v, pair in backwards.items() if not v % 2})
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
 def test_batch_put_with_purge_is_one_commit(tmp_path, monkeypatch):
     analysis = lf.reaching_defs()
-    pairs = [(StoreKey(i, slot), _rd((f"d{i}", "x")))
-             for i in range(6) for slot in (Slot.IN, Slot.OUT)]
+    facts = {i: (_rd((f"d{i}", "x")), _rd((f"d{i}", "y"))) for i in range(6)}
     a_path, b_path = tmp_path / "a.store", tmp_path / "b.store"
     a = lf.FactStore.create(a_path, analysis)
-    a.batch_put(pairs)
+    _put(a, facts)
     b = lf.FactStore.create(b_path, analysis)
-    b.batch_put(pairs)
-    update = [(StoreKey(1, Slot.OUT), _rd(("d9", "y"))),
-              (StoreKey(4, Slot.IN), _rd(("d8", "z")))]
-    a.batch_put(update)
-    a.batch_put((), purge={2, 4, 42})
+    _put(b, facts)
+    update = {1: (_rd(), _rd(("d9", "y"))), 4: (_rd(("d8", "z")), _rd())}
+    _put(a, update)
+    a.batch_put({}, {}, purge={2, 4, 42})
     renames = []
     original = os.replace
     monkeypatch.setattr(os, "replace",
                         lambda src, dst: renames.append(dst) or original(src, dst))
-    b.batch_put(update, purge={2, 4, 42})  # a purged vertex keeps no slot
+    b.batch_put({v: p[0] for v, p in update.items()}, {v: p[1] for v, p in update.items()},
+                purge={2, 4, 42})  # a purged vertex is dropped even if the batch names it
     assert len(renames) == 1
-    assert b.get(StoreKey(4, Slot.IN)) is None
+    assert b.batch_get([4]) == [None]
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
@@ -176,53 +189,97 @@ def test_equal_payloads_decode_to_one_object(tmp_path):
     path = tmp_path / "facts.store"
     analysis = lf.reaching_defs()
     store = lf.FactStore.create(path, analysis)
-    keys = [StoreKey(v, slot) for v in (1, 2) for slot in (Slot.IN, Slot.OUT)]
-    store.batch_put([(keys[0], _rd(("d1", "x"))), (keys[1], _rd(("d1", "x"))),
-                     (keys[2], _rd(("d1", "x"))), (keys[3], _rd(("d2", "y")))])
+    _put(store, {1: (_rd(("d1", "x")), _rd(("d1", "x"))),
+                 2: (_rd(("d1", "x")), _rd(("d2", "y")))})
     reopened = lf.FactStore.open(path, analysis)  # each record its own bytes
-    a, b, c, d = reopened.batch_get(keys)
+    (a, b), (c, d) = reopened.batch_get([1, 2])
     assert a is b is c
+    e, f = reopened.batch_get_out([1, 1])
+    assert e is f and e == a
     assert a == _rd(("d1", "x")) and d == _rd(("d2", "y"))
 
 
 def test_decode_error_names_the_first_corrupt_key_requested():
-    store = lf.FactStore.in_memory(lf.reaching_defs())
-    store.batch_put([(StoreKey(1, Slot.IN), _rd(("d1", "x")))])
-    store._entries[StoreKey(7, Slot.OUT)] = b"not json"
-    store._entries[StoreKey(3, Slot.IN)] = b"not json"
-    with pytest.raises(lf.StoreDecodeError) as exc:
-        store.batch_get([StoreKey(1, Slot.IN), StoreKey(7, Slot.OUT),
-                         StoreKey(3, Slot.IN)])
-    assert exc.value.key == StoreKey(7, Slot.OUT)
+    store = lf.FactStore(lf.reaching_defs())
+    _put(store, {1: (_rd(("d1", "x")), _rd(("d1", "x")))})
+    store._entries[7] = (b"[]", b"not json")
+    store._entries[3] = (b"not json", b"[]")
+    with pytest.raises(lf.StoreDecodeError, match="the OUT fact of vertex 7: "):
+        store.batch_get([1, 7, 3])
+    with pytest.raises(lf.StoreDecodeError, match="the IN fact of vertex 3"):
+        store.batch_get([3, 7])
+    assert store.batch_get_out([3]) == [_rd()]  # reads no IN payload
 
 
 def test_shared_fact_objects_write_the_bytes_of_distinct_ones(tmp_path):
     analysis = lf.lru_must_cache(sets=2, assoc=2)
     shared = lf.CacheFact(False, ({10: 0, 2: 1}, {}))
-    keys = [StoreKey(v, slot) for v in range(8) for slot in (Slot.IN, Slot.OUT)]
+    slots = [(v, s) for v in range(8) for s in (0, 1)]
 
     def fresh(i):  # a new object per call, dropped once it is encoded
         return lf.CacheFact(False, ({2 * i: 0}, {1: i % 2}))
 
+    def facts(make_shared):
+        chosen = {slot: make_shared() if i % 3 else fresh(i) for i, slot in enumerate(slots)}
+        return ({v: chosen[v, 0] for v in range(8)}, {v: chosen[v, 1] for v in range(8)})
+
     a_path, b_path = tmp_path / "a.store", tmp_path / "b.store"
-    a = lf.FactStore.create(a_path, analysis)
-    a.batch_put((k, shared if i % 3 else fresh(i)) for i, k in enumerate(keys))
-    b = lf.FactStore.create(b_path, analysis)
-    b.batch_put([(k, lf.CacheFact(False, ({10: 0, 2: 1}, {})) if i % 3 else fresh(i))
-                 for i, k in enumerate(keys)])
+    lf.FactStore.create(a_path, analysis).batch_put(*facts(lambda: shared))
+    lf.FactStore.create(b_path, analysis).batch_put(
+        *facts(lambda: lf.CacheFact(False, ({10: 0, 2: 1}, {}))))
     assert a_path.read_bytes() == b_path.read_bytes()
+
+
+def test_consecutive_identical_facts_are_encoded_once(monkeypatch):
+    analysis = lf.reaching_defs()
+    encoded = []
+    real = type(analysis).encode
+    monkeypatch.setattr(type(analysis), "encode",
+                        lambda self, fact: encoded.append(fact) or real(self, fact))
+    a, b = _rd(("d1", "x")), _rd(("d2", "x"))
+    store = lf.FactStore(analysis)
+    # 1: IN is its OUT; 2: IN is 1's OUT; 3: an equal but distinct object.
+    store.batch_put({1: a, 2: a, 3: _rd(("d2", "x"))}, {1: a, 2: b, 3: b})
+    assert encoded == [a, b, _rd(("d2", "x")), b]
+    snap = store.snapshot()
+    assert snap[1] == (snap[2][0], snap[2][0]) and snap[2][1] == snap[3][0] == snap[3][1]
+
+
+def _two_vertex_store(tmp_path):
+    path = tmp_path / "facts.store"
+    analysis = lf.reaching_defs()
+    store = lf.FactStore.create(path, analysis)
+    _put(store, {1: (_rd(), _rd(("d1", "x"))), 2: (_rd(("d1", "x")), _rd(("d2", "x")))})
+    return path, analysis
 
 
 @pytest.mark.parametrize("code", [2, 255])
 def test_invalid_slot_code_is_a_store_error(tmp_path, code):
-    path = tmp_path / "facts.store"
-    analysis = lf.reaching_defs()
-    store = lf.FactStore.create(path, analysis)
-    store.batch_put([(StoreKey(1, Slot.OUT), _rd(("d1", "x")))])
-    blob = bytearray(path.read_bytes())
-    slot_at = 8 + 4 + len(analysis.fingerprint().encode()) + 8  # magic, fp, vertex
-    assert blob[slot_at] == Slot.OUT.value
-    blob[slot_at] = code
-    path.write_bytes(bytes(blob))
+    path, analysis = _two_vertex_store(tmp_path)
+    header, records = split_store(path.read_bytes())
+    vertex, slot, payload = records[1]
+    assert slot == 1
+    records[1] = (vertex, code, payload)
+    path.write_bytes(join_store(header, records))
     with pytest.raises(lf.StoreError, match=f"invalid slot code {code}"):
         lf.FactStore.open(path, analysis)
+
+
+_ANALYSIS_ARGS = {"rd": [], "cp": [], "cache": ["--sets", "2", "--assoc", "3"]}
+
+
+@pytest.mark.parametrize("algo", ["classic", "opt"])
+@pytest.mark.parametrize("analysis", sorted(_ANALYSIS_ARGS))
+def test_store_and_benchmark_oracle_read_the_same_records(tmp_path, capsys, analysis, algo):
+    for cfg in sorted(fixture_path("").glob("*.cfg")):
+        path = tmp_path / f"{cfg.stem}.store"
+        assert cli.main(["analyze", "--cfg", str(cfg), "--analysis", analysis,
+                         *_ANALYSIS_ARGS[analysis], "--algo", algo,
+                         "--store", str(path)]) == cli.EXIT_OK
+        fingerprint, records = oracle.read_store(path.read_bytes())
+        store = lf.FactStore.open(path, lf.analysis_from_fingerprint(fingerprint))
+        ours = {(v, slot): data for v, pair in store.snapshot().items()
+                for slot, data in enumerate(pair)}
+        assert ours == records, cfg.name
+        assert len(records) == 2 * len(store.vertices()) > 0
+    capsys.readouterr()

@@ -42,7 +42,6 @@ from .cfg import (
 from .engine import (
     Algorithm,
     AnalysisResult,
-    EngineConfig,
     run,
     run_classic,
     run_optimized,

@@ -369,7 +369,11 @@ def analysis_from_name(name: str) -> Analysis:
         return const_prop()
     m = _CACHE_NAME.fullmatch(name)
     if m:
-        return lru_must_cache(sets=int(m.group(1)), assoc=int(m.group(2)))
+        try:
+            sets, assoc = int(m.group(1)), int(m.group(2))
+        except ValueError:  # more digits than int() accepts
+            raise AnalysisDefinitionError("cache geometry in analysis name is too long") from None
+        return lru_must_cache(sets=sets, assoc=assoc)
     raise AnalysisDefinitionError(f"unknown analysis {name!r}")
 
 

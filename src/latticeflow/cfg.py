@@ -3,8 +3,7 @@
 A ``SuperGraph`` is an already-inlined interprocedural CFG: vertices carry
 statement payloads, edges are directed, and the entry set is either the
 explicitly flagged vertices or, when none are flagged, every vertex with
-in-degree zero. Graphs are immutable after construction and safe to share
-across workers.
+in-degree zero. Graphs are immutable after construction.
 
 Edits between two versions are normalized into eight atomic change kinds,
 classified by whether an endpoint of the touched edge is being created,

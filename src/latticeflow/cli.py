@@ -17,6 +17,7 @@ so identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -29,23 +30,9 @@ from .analyses import (
     lru_must_cache,
     reaching_defs,
 )
-from .cfg import (
-    ChangeBatch,
-    SuperGraph,
-    added_vertices,
-    deleted_vertices,
-    diff_graphs,
-    parse_changes_for_new,
-    parse_graph,
-    render_changes,
-)
-from .engine import Algorithm, EngineConfig
-from .errors import (
-    GraphParseError,
-    LatticeflowError,
-    NonConvergenceError,
-    StoreInconsistentError,
-)
+from .cfg import diff_graphs, parse_changes_for_new, parse_graph, render_changes
+from .engine import Algorithm
+from .errors import GraphParseError, LatticeflowError, NonConvergenceError
 from .lattice import Analysis
 from .store import FactStore
 
@@ -64,6 +51,8 @@ ANALYSES = {
 
 _CHAOTIC_SEED = 0x5EED
 _SETS_HELP = f"cache sets, 1 to {MAX_CACHE_SETS} (cache analysis)"
+_WORKERS_HELP = ("a positive integer, checked but not passed to the engine, which runs "
+                 "one barriered vertex table whatever the worker count")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--analysis", required=True,
                       help="client analysis (rd, cp, cache)")
     p_an.add_argument("--algo", choices=["classic", "opt"], default="opt")
-    p_an.add_argument("--workers", type=_positive_int, default=1)
+    p_an.add_argument("--workers", type=_positive_int, default=1,
+                      help=_WORKERS_HELP + "; echoed in the report")
     p_an.add_argument("--store", required=True, help="output fact-store path")
     p_an.add_argument("--sets", type=int, default=4, help=_SETS_HELP)
     p_an.add_argument("--assoc", type=int, default=2,
@@ -114,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inc.add_argument("--changes", required=True, help="change file (old -> updated)")
     p_inc.add_argument("--store", required=True, help="fact store from the old version")
     p_inc.add_argument("--mode", choices=["naive", "opt"], default="opt")
-    p_inc.add_argument("--workers", type=_positive_int, default=1)
+    p_inc.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p_inc.add_argument("--superstep-cap", type=_positive_int, default=None)
     p_inc.add_argument("--report", default=None)
     p_inc.set_defaults(func=cmd_incremental)
@@ -122,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="cross-check all four solvers")
     p_ver.add_argument("--cfg", required=True)
     p_ver.add_argument("--analysis", required=True)
-    p_ver.add_argument("--workers", type=_positive_int, default=2)
     p_ver.add_argument("--sets", type=int, default=4, help=_SETS_HELP)
     p_ver.add_argument("--assoc", type=int, default=2)
     p_ver.add_argument("--seed", type=int, default=_CHAOTIC_SEED,
@@ -162,31 +151,37 @@ def _load_graph(path: str):
     return parse_graph(_read_input(path))
 
 
-def _emit_report(report: dict, report_path: str | None) -> None:
+def _open_report(report_path: str | None):
+    """The ``--report`` file, opened before the run so that an unwritable
+    path fails before any store is written."""
+    if not report_path:
+        return contextlib.nullcontext()
+    return open(report_path, "w", encoding="utf-8")
+
+
+def _emit_report(report: dict, report_file) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
-    if report_path:
-        Path(report_path).write_text(text + "\n", encoding="utf-8")
+    if report_file is not None:
+        report_file.write(text + "\n")
 
 
 def cmd_analyze(args) -> int:
     graph = _load_graph(args.cfg)
     analysis = _make_analysis(args)
-    config = EngineConfig(
-        worker_count=args.workers,
-        algorithm=Algorithm.CLASSIC if args.algo == "classic" else Algorithm.OPTIMIZED,
-        superstep_cap=args.superstep_cap)
-    result = engine.run(graph, analysis, config)
-    FactStore.create(args.store, analysis).batch_put(result.in_facts, result.out_facts)
-    report = {
-        "command": "analyze",
-        "analysis": analysis.name,
-        "algorithm": config.algorithm.value,
-        "workers": config.worker_count,
-        "graph": {"vertices": len(graph.vertices), "edges": len(graph.edges)},
-        "run": result.to_report(),
-    }
-    _emit_report(report, args.report)
+    algorithm = Algorithm.CLASSIC if args.algo == "classic" else Algorithm.OPTIMIZED
+    with _open_report(args.report) as report_file:
+        result = engine.run(graph, analysis, algorithm, superstep_cap=args.superstep_cap)
+        FactStore(analysis, args.store).batch_put(result.in_facts, result.out_facts)
+        report = {
+            "command": "analyze",
+            "analysis": analysis.name,
+            "algorithm": algorithm.value,
+            "workers": args.workers,
+            "graph": {"vertices": len(graph.vertices), "edges": len(graph.edges)},
+            "run": result.to_report(),
+        }
+        _emit_report(report, report_file)
     return EXIT_OK
 
 
@@ -204,64 +199,48 @@ def cmd_incremental(args) -> int:
     fingerprint = FactStore.read_fingerprint(args.store)
     analysis = analysis_from_fingerprint(fingerprint)
     store = FactStore.open(args.store, analysis)
-    config = EngineConfig(worker_count=args.workers, superstep_cap=args.superstep_cap)
     batch = parse_changes_for_new(_read_input(args.changes), graph)
-    _check_store_matches_old_version(store, args.store, graph, batch)
-
     runner = (incremental.run_incremental_optimized if args.mode == "opt"
               else incremental.run_incremental_naive)
-    run = runner(graph, batch, store, analysis, config)
-
-    impact = run.impact
-    n_vertices = max(1, len(graph.vertices))
-    n_edges = max(1, len(graph.edges))
-    # Closed under successors, the affected set's out-edges are its induced edges.
-    sub_vertices = len(impact.affected_all)
-    sub_edges = sum(len(graph.succs(k)) for k in impact.affected_all)
-    report = {
-        "command": "incremental",
-        "mode": args.mode,
-        "analysis": analysis.name,
-        "atomic_changes": len(batch),
-        "affected": {
-            "all": len(impact.affected_all),
-            "add": len(impact.affected_add),
-            "delete": len(impact.affected_delete),
-            "change": len(impact.affected_change),
-            "reused": len(impact.reuse),
-            "purged": len(run.purged),
-        },
-        "sub_cfg": {
-            "vertices": sub_vertices,
-            "edges": sub_edges,
-            "vertex_pct": round(100.0 * sub_vertices / n_vertices, 3),
-            "edge_pct": round(100.0 * sub_edges / n_edges, 3),
-        },
-        "run": run.result.to_report(),
-    }
-    _emit_report(report, args.report)
+    with _open_report(args.report) as report_file:
+        run = runner(graph, batch, store, analysis, superstep_cap=args.superstep_cap)
+        impact = run.impact
+        n_vertices = max(1, len(graph.vertices))
+        n_edges = max(1, len(graph.edges))
+        # Closed under successors, the affected set's out-edges are its induced edges.
+        sub_vertices = len(impact.affected_all)
+        sub_edges = sum(len(graph.succs(k)) for k in impact.affected_all)
+        report = {
+            "command": "incremental",
+            "mode": args.mode,
+            "analysis": analysis.name,
+            "atomic_changes": len(batch),
+            "affected": {
+                "all": len(impact.affected_all),
+                "add": len(impact.affected_add),
+                "delete": len(impact.affected_delete),
+                "change": len(impact.affected_change),
+                "reused": len(impact.reuse),
+                "purged": len(run.purged),
+            },
+            "sub_cfg": {
+                "vertices": sub_vertices,
+                "edges": sub_edges,
+                "vertex_pct": round(100.0 * sub_vertices / n_vertices, 3),
+                "edge_pct": round(100.0 * sub_edges / n_edges, 3),
+            },
+            "run": run.result.to_report(),
+        }
+        _emit_report(report, report_file)
     return EXIT_OK
-
-
-def _check_store_matches_old_version(store: FactStore, path: str, graph: SuperGraph,
-                                     batch: ChangeBatch) -> None:
-    """Refuse a store whose vertices are not exactly the old version's."""
-    old = (set(graph.vertices) - added_vertices(batch)) | deleted_vertices(batch)
-    stored = store.vertices()
-    if stored != old:
-        raise StoreInconsistentError(
-            f"store {path} was not computed for the program these changes start from "
-            f"({len(old)} vertices): it holds facts for {len(stored)} vertices, "
-            f"{len(stored - old)} of them not in that program")
 
 
 def cmd_verify(args) -> int:
     graph = _load_graph(args.cfg)
     analysis = _make_analysis(args)
-    config = EngineConfig(worker_count=args.workers)
     runs = [
-        ("classic", engine.run_classic(graph, analysis, config)),
-        ("optimized", engine.run_optimized(graph, analysis, config)),
+        ("classic", engine.run_classic(graph, analysis)),
+        ("optimized", engine.run_optimized(graph, analysis)),
         ("sequential", sequential.run_sequential(graph, analysis)),
         ("chaotic", sequential.run_chaotic(graph, analysis, args.seed)),
     ]

@@ -3,17 +3,16 @@
 All vertex state -- incoming and outgoing facts, the pending inbox and the
 active set -- lives in one table. Execution proceeds in globally barriered
 supersteps (the Pregel model): everything a vertex produces in superstep t
-becomes visible to other vertices only at superstep t+1, so the result
-depends only on the barrier, never on how vertices would be split over
-workers. ``EngineConfig.worker_count`` is validated and reported but does
-not change a run.
+becomes visible to other vertices only at superstep t+1. The result
+therefore depends only on the barrier, never on how vertices would be
+split over workers, and the engine takes no worker count.
 
 Two algorithms share this skeleton and reach the same fixed point:
 
 * classic  -- an active vertex pulls the complete outgoing-fact set of all
-  its predecessors (snapshot reads from the previous barrier), re-merges it
-  from the initial element, transfers, and on a changed result activates
-  its successors.
+  its predecessors as of the previous barrier (its own writes are applied
+  at the barrier), re-merges it from the initial element, transfers, and
+  on a changed result activates its successors.
 * optimized -- an active vertex folds only the messages received at the
   barrier into its retained incoming fact; on a changed result it pushes
   its new outgoing fact as a message to each successor. Commutativity and
@@ -31,8 +30,9 @@ superstep-0 state; the incremental pipeline uses it to resume analysis on
 the updated graph, seeded on the successor-closed affected set.
 
 Termination is only guaranteed for monotone clients over finite-height
-lattices, so every run carries a superstep cap (default ten times the
-vertices it covers) and raises ``NonConvergenceError`` instead of looping.
+lattices, so every run carries a superstep cap (``superstep_cap``, default
+ten times the vertices it covers) and raises ``NonConvergenceError``
+instead of looping.
 """
 
 from __future__ import annotations
@@ -52,32 +52,14 @@ class Algorithm(Enum):
     OPTIMIZED = "optimized"
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    worker_count: int = 1  # validated and reported; a run does not depend on it
-    algorithm: Algorithm = Algorithm.OPTIMIZED
-    superstep_cap: int | None = None  # None: 10 * |V|
-
-    def __post_init__(self):
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
-        if self.superstep_cap is not None and self.superstep_cap < 1:
-            raise ValueError("superstep_cap must be >= 1")
-
-    def cap_for(self, vertex_count: int) -> int:
-        if self.superstep_cap is not None:
-            return self.superstep_cap
-        return max(1, 10 * vertex_count)
-
-
 @dataclass
 class AnalysisResult:
     """Converged facts plus run accounting.
 
     ``messages_sent`` counts fact traffic: facts pushed to successors for
-    the optimized algorithm, facts pulled from predecessor snapshots for
-    the classic one. ``supersteps`` counts barriered rounds (worklist pops
-    for the sequential runners).
+    the optimized algorithm, facts pulled from predecessors for the classic
+    one. ``supersteps`` counts barriered rounds (worklist pops for the
+    sequential runners).
     """
 
     in_facts: dict[VertexId, Fact]
@@ -99,30 +81,33 @@ class AnalysisResult:
         return self.in_facts == other.in_facts and self.out_facts == other.out_facts
 
 
-def run_classic(g: SuperGraph, analysis: Analysis, config: EngineConfig) -> AnalysisResult:
+def run_classic(g: SuperGraph, analysis: Analysis, *,
+                superstep_cap: int | None = None) -> AnalysisResult:
     """Whole-program analysis with the gather-all worklist algorithm."""
-    seeds = _whole_program_seeds(g, analysis)
-    return _execute(g, analysis, config, Algorithm.CLASSIC, *seeds)
+    return _execute(g, analysis, Algorithm.CLASSIC, *_whole_program_seeds(g, analysis),
+                    superstep_cap=superstep_cap)
 
 
-def run_optimized(g: SuperGraph, analysis: Analysis, config: EngineConfig) -> AnalysisResult:
+def run_optimized(g: SuperGraph, analysis: Analysis, *,
+                  superstep_cap: int | None = None) -> AnalysisResult:
     """Whole-program analysis with the delta-message worklist algorithm."""
-    seeds = _whole_program_seeds(g, analysis)
-    return _execute(g, analysis, config, Algorithm.OPTIMIZED, *seeds)
+    return _execute(g, analysis, Algorithm.OPTIMIZED, *_whole_program_seeds(g, analysis),
+                    superstep_cap=superstep_cap)
 
 
-def run(g: SuperGraph, analysis: Analysis, config: EngineConfig) -> AnalysisResult:
-    """Dispatch on ``config.algorithm``."""
-    if config.algorithm is Algorithm.CLASSIC:
-        return run_classic(g, analysis, config)
-    return run_optimized(g, analysis, config)
+def run(g: SuperGraph, analysis: Analysis, algorithm: Algorithm, *,
+        superstep_cap: int | None = None) -> AnalysisResult:
+    """Whole-program analysis with the given algorithm."""
+    runner = run_classic if algorithm is Algorithm.CLASSIC else run_optimized
+    return runner(g, analysis, superstep_cap=superstep_cap)
 
 
-def seed_and_run(g: SuperGraph, analysis: Analysis, config: EngineConfig,
+def seed_and_run(g: SuperGraph, analysis: Analysis,
                  initial_in: Mapping[VertexId, Fact],
                  initial_out: Mapping[VertexId, Fact | None],
                  initial_messages: Mapping[VertexId, Sequence[tuple[VertexId, Fact]]],
-                 initial_active: Sequence[VertexId]) -> AnalysisResult:
+                 initial_active: Sequence[VertexId], *,
+                 superstep_cap: int | None = None) -> AnalysisResult:
     """The optimized algorithm with caller-supplied superstep-0 state.
 
     ``initial_in``/``initial_out`` seed the same vertices of ``g``, and the
@@ -144,11 +129,11 @@ def seed_and_run(g: SuperGraph, analysis: Analysis, config: EngineConfig,
     escapes = sorted((k, d) for k in seeded for d in g.succs(k) if d not in seeded)
     if escapes:
         raise SeedMismatchError(f"seeded vertices have unseeded successors: edges {escapes}")
-    return _execute(g, analysis, config, Algorithm.OPTIMIZED,
+    return _execute(g, analysis, Algorithm.OPTIMIZED,
                     dict(initial_in), dict(initial_out),
                     {k: [fact for _, fact in sorted(v, key=itemgetter(0))]
                      for k, v in initial_messages.items()},
-                    set(initial_active))
+                    set(initial_active), superstep_cap=superstep_cap)
 
 
 def require_entries(g: SuperGraph) -> None:
@@ -159,36 +144,32 @@ def require_entries(g: SuperGraph) -> None:
 
 def _whole_program_seeds(g: SuperGraph, analysis: Analysis):
     require_entries(g)
-    initial_in = {}
-    initial_out: dict[VertexId, Fact | None] = {}
-    for vid in g.vertices:
-        base = analysis.entry_fact() if vid in g.entries else analysis.initial()
-        initial_in[vid] = base
-        initial_out[vid] = None
-    return initial_in, initial_out, {}, set(g.entries)
+    initial, entry = analysis.initial(), analysis.entry_fact()
+    initial_in = {vid: entry if vid in g.entries else initial for vid in g.vertices}
+    return initial_in, dict.fromkeys(g.vertices), {}, set(g.entries)
 
 
-def _execute(g: SuperGraph, analysis: Analysis, config: EngineConfig,
-             algorithm: Algorithm,
+def _execute(g: SuperGraph, analysis: Analysis, algorithm: Algorithm,
              in_facts: dict[VertexId, Fact],
              out_facts: dict[VertexId, Fact | None],
              inbox: dict[VertexId, list[Fact]],
-             active: set[VertexId]) -> AnalysisResult:
+             active: set[VertexId], *,
+             superstep_cap: int | None) -> AnalysisResult:
     """Run barriered supersteps over one vertex-state table until quiescence.
 
     The table's vertices are the keys of ``in_facts``; both fact maps are
     updated in place. Each ``inbox`` list holds facts in ascending sender
     order; later supersteps keep that order because active vertices are
-    processed in ascending id order.
+    processed in ascending id order. ``superstep_cap`` of ``None`` allows
+    ten supersteps per table vertex.
     """
+    if superstep_cap is not None and superstep_cap < 1:
+        raise ValueError("superstep_cap must be >= 1")
+    cap = max(1, 10 * len(in_facts)) if superstep_cap is None else superstep_cap
     classic = algorithm is Algorithm.CLASSIC
-    # Classic gathers pull from the state as of the previous barrier.
-    snapshot: dict[VertexId, Fact | None] = dict(out_facts) if classic else {}
-    bases = {vid: analysis.entry_fact() if vid in g.entries else analysis.initial()
-             for vid in g.vertices} if classic else {}
+    initial, entry = analysis.initial(), analysis.entry_fact()
     active = active | set(inbox)  # a pending message activates its target
 
-    cap = config.cap_for(len(in_facts))
     supersteps = 0
     messages_sent = 0
     fact_updates = 0
@@ -208,32 +189,31 @@ def _execute(g: SuperGraph, analysis: Analysis, config: EngineConfig,
         for k in sorted(active):
             if classic:
                 # preds are id-sorted: canonical merge order
-                gathered = [snapshot[q] for q in g.preds(k) if snapshot[q] is not None]
+                gathered = [out_facts[q] for q in g.preds(k) if out_facts[q] is not None]
                 messages_sent += len(gathered)
-                new_in = analysis.merge(gathered, bases[k])
+                new_in = analysis.merge(gathered, entry if k in g.entries else initial)
             else:
                 new_in = analysis.merge(inbox.get(k, ()), in_facts[k])
             new_out = analysis.transfer(g.vertices[k].stmts, new_in)
             in_facts[k] = new_in
             if analysis.propagate(out_facts[k], new_out):
-                out_facts[k] = new_out
                 fact_updates += 1
                 succs = g.succs(k)
                 next_active.update(succs)
                 if classic:
                     changed.append((k, new_out))
                 else:
+                    out_facts[k] = new_out
                     for d in succs:
                         next_inbox.setdefault(d, []).append(new_out)
                     messages_sent += len(succs)
         # Barrier: what superstep t produced becomes visible in t+1.
-        snapshot.update(changed)
+        out_facts.update(changed)
         inbox = next_inbox
         active = next_active
 
     return AnalysisResult(
         in_facts=in_facts,
-        out_facts={vid: analysis.initial() if out is None else out
-                   for vid, out in out_facts.items()},
+        out_facts={vid: initial if out is None else out for vid, out in out_facts.items()},
         supersteps=supersteps, messages_sent=messages_sent,
         fact_updates=fact_updates, active_per_superstep=active_counts)

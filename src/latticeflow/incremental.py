@@ -41,11 +41,13 @@ Affected vertices that are unreachable from the updated graph's entries
 stay inert: a whole-program worklist never processes them, so they are
 reset, get no messages and end with the initial element.
 
-The store holds one IN/OUT pair per vertex: a warm-started vertex reads
-its pair, a boundary predecessor only its OUT. Both strategies finish with
-one store commit that writes the affected vertices' pairs and purges
-deleted vertices; the resulting store equals a from-scratch analysis of
-the updated graph.
+The store holds one IN/OUT pair per vertex and must hold exactly the old
+version's vertices; any other store is refused before it is read or
+written. A warm-started vertex reads its pair, a boundary predecessor only
+its OUT. Both strategies run the engine's optimized algorithm, which takes
+only a superstep cap (no worker count), and finish with one store commit
+that writes the affected vertices' pairs and purges deleted vertices; the
+resulting store equals a from-scratch analysis of the updated graph.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .cfg import (
     added_vertices,
     deleted_vertices,
 )
-from .engine import AnalysisResult, EngineConfig, require_entries, seed_and_run
+from .engine import AnalysisResult, require_entries, seed_and_run
 from .errors import StoreInconsistentError
 from .lattice import Analysis, Fact
 from .store import FactStore
@@ -204,20 +206,31 @@ def build_impact(batch: ChangeBatch, new_graph: SuperGraph, *, per_kind: bool) -
 
 
 def run_incremental_naive(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore,
-                          analysis: Analysis, config: EngineConfig) -> IncrementalRun:
+                          analysis: Analysis, *,
+                          superstep_cap: int | None = None) -> IncrementalRun:
     """Re-analyze the affected vertices from the initial element."""
-    return _run_incremental(new_graph, batch, store, analysis, config, per_kind=False)
+    return _run_incremental(new_graph, batch, store, analysis,
+                            superstep_cap=superstep_cap, per_kind=False)
 
 
 def run_incremental_optimized(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore,
-                              analysis: Analysis, config: EngineConfig) -> IncrementalRun:
+                              analysis: Analysis, *,
+                              superstep_cap: int | None = None) -> IncrementalRun:
     """Re-analyze the affected vertices, warm-starting add-only vertices."""
-    return _run_incremental(new_graph, batch, store, analysis, config, per_kind=True)
+    return _run_incremental(new_graph, batch, store, analysis,
+                            superstep_cap=superstep_cap, per_kind=True)
 
 
 def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore,
-                     analysis: Analysis, config: EngineConfig,
-                     *, per_kind: bool) -> IncrementalRun:
+                     analysis: Analysis, *, superstep_cap: int | None,
+                     per_kind: bool) -> IncrementalRun:
+    old = (set(new_graph.vertices) - added_vertices(batch)) | deleted_vertices(batch)
+    stored = store.vertices()
+    if stored != old:
+        raise StoreInconsistentError(
+            f"store {store.path or '(in memory)'} was not computed for the program "
+            f"these changes start from ({len(old)} vertices): it holds facts for "
+            f"{len(stored)} vertices, {len(stored - old)} of them not in that program")
     require_entries(new_graph)
     if not batch:
         empty = ImpactResult(frozenset(), frozenset(), frozenset(), frozenset(),
@@ -236,28 +249,25 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
     reachable = _reachable_from_entries(new_graph)
     live_reuse = impact.reuse & reachable
 
+    # The store holds every old vertex, and only added vertices are new:
+    # reused vertices are old by construction, and so is every boundary
+    # predecessor, since it is unaffected or reused.
     initial_in: dict[VertexId, Fact] = {}
     initial_out: dict[VertexId, Fact | None] = {}
     reused = sorted(live_reuse)
     for k, pair in zip(reused, store.batch_get(reused)):
-        if pair is None:
-            raise StoreInconsistentError(f"no stored facts for warm-started vertex {k}")
         initial_in[k], initial_out[k] = pair
+    initial, entry = analysis.initial(), analysis.entry_fact()
     for k in affected:
-        if k in live_reuse:
-            continue
-        initial_in[k] = (analysis.entry_fact() if k in new_graph.entries
-                         else analysis.initial())
-        initial_out[k] = None  # never computed: its first result propagates
+        if k not in live_reuse:
+            initial_in[k] = entry if k in new_graph.entries else initial
+            initial_out[k] = None  # never computed: its first result propagates
 
     wanted = [(k, p) for k in affected if k in reachable
               for p in sorted(impact.boundary_preds[k])]
     fetched = store.batch_get_out([p for (_, p) in wanted])
     messages: dict[VertexId, list[tuple[VertexId, Fact]]] = {}
     for (k, p), fact in zip(wanted, fetched):
-        if fact is None:
-            raise StoreInconsistentError(
-                f"no stored outgoing fact for boundary predecessor {p} of {k}")
         messages.setdefault(k, []).append((p, fact))
 
     # Reset vertices start like a whole-program run: only entries and the
@@ -267,8 +277,8 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
     # a vertex unreachable in the old version still holds the initial
     # element there.
     active = sorted(live_reuse | (impact.affected_all & new_graph.entries))
-    result = seed_and_run(new_graph, analysis, config,
-                          initial_in, initial_out, messages, active)
+    result = seed_and_run(new_graph, analysis, initial_in, initial_out, messages, active,
+                          superstep_cap=superstep_cap)
 
     purged = deleted_vertices(batch)
     store.batch_put(result.in_facts, result.out_facts, purge=purged)

@@ -8,11 +8,11 @@ a finite-height lattice reaches the same unique maximal fixed point
 whatever the order, which makes repeated chaotic runs a cheap detector for
 order-sensitivity bugs.
 
-Both solvers share the engine's conventions: the worklist starts from the
-entry vertices, a vertex that has never produced an outgoing fact holds the
-sentinel and its first computation always counts as a change, and entry
-vertices fold their (possibly empty) predecessor facts into the analysis's
-entry fact.
+Both solvers share the engine's conventions: they refuse a graph without
+entry vertices, the worklist starts from the entry vertices, a vertex that
+has never produced an outgoing fact holds the sentinel and its first
+computation always counts as a change, and entry vertices fold their
+(possibly empty) predecessor facts into the analysis's entry fact.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import random
 from collections import deque
 
 from .cfg import SuperGraph, VertexId
-from .engine import AnalysisResult
-from .errors import GraphError, NonConvergenceError
+from .engine import AnalysisResult, require_entries
+from .errors import NonConvergenceError
 from .lattice import Analysis, Fact
 
 
@@ -37,13 +37,12 @@ def run_chaotic(g: SuperGraph, analysis: Analysis, seed: int) -> AnalysisResult:
 
 
 def _solve(g: SuperGraph, analysis: Analysis, rng: random.Random | None) -> AnalysisResult:
-    if g.vertices and not g.entries:
-        raise GraphError("graph has no entry vertices")
+    require_entries(g)
     n = len(g.vertices)
-    bases = {vid: analysis.entry_fact() if vid in g.entries else analysis.initial()
-             for vid in g.vertices}
-    in_facts: dict[VertexId, Fact] = dict(bases)
-    out_facts: dict[VertexId, Fact | None] = {vid: None for vid in g.vertices}
+    initial, entry = analysis.initial(), analysis.entry_fact()
+    in_facts: dict[VertexId, Fact] = {vid: entry if vid in g.entries else initial
+                                      for vid in g.vertices}
+    out_facts: dict[VertexId, Fact | None] = dict.fromkeys(g.vertices)
 
     worklist: deque[VertexId] = deque(sorted(g.entries))
     queued = set(worklist)
@@ -65,7 +64,7 @@ def _solve(g: SuperGraph, analysis: Analysis, rng: random.Random | None) -> Anal
         queued.discard(k)
 
         gathered = [out_facts[q] for q in g.preds(k) if out_facts[q] is not None]
-        new_in = analysis.merge(gathered, bases[k])
+        new_in = analysis.merge(gathered, entry if k in g.entries else initial)
         new_out = analysis.transfer(g.vertices[k].stmts, new_in)
         in_facts[k] = new_in
         if analysis.propagate(out_facts[k], new_out):
@@ -75,8 +74,7 @@ def _solve(g: SuperGraph, analysis: Analysis, rng: random.Random | None) -> Anal
                     worklist.append(s)
                     queued.add(s)
 
-    final_out = {vid: (analysis.initial() if out is None else out)
-                 for vid, out in out_facts.items()}
+    final_out = {vid: initial if out is None else out for vid, out in out_facts.items()}
     return AnalysisResult(in_facts=in_facts, out_facts=final_out,
                           supersteps=iterations, messages_sent=0, fact_updates=0,
                           active_per_superstep=[])

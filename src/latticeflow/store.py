@@ -49,7 +49,7 @@ class FactStore:
     def __init__(self, analysis: Analysis, path: str | Path | None = None,
                  _entries: Entries | None = None):
         self._analysis = analysis
-        self._path = Path(path) if path is not None else None
+        self.path = Path(path) if path is not None else None
         self._entries: Entries = _entries or {}
 
     @classmethod
@@ -134,16 +134,16 @@ class FactStore:
         return dict(self._entries)
 
     def _commit(self, entries: Entries) -> None:
-        if self._path is None:
+        if self.path is None:
             return
         try:
             blob = _render_snapshot(entries, self._analysis.fingerprint())
-            tmp = self._path.with_name(self._path.name + ".tmp")
+            tmp = self.path.with_name(self.path.name + ".tmp")
             with open(tmp, "wb") as fh:
                 fh.write(blob)
-            os.replace(tmp, self._path)
+            os.replace(tmp, self.path)
         except OSError as exc:
-            raise StoreIOError(f"cannot write store {self._path}: {exc}") from exc
+            raise StoreIOError(f"cannot write store {self.path}: {exc}") from exc
 
 
 def _render_snapshot(entries: Entries, fingerprint: str) -> bytes:

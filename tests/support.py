@@ -138,15 +138,13 @@ def random_edit(rng: random.Random, old: lf.SuperGraph,
     raise AssertionError("could not generate a valid edited graph")
 
 
-def all_solvers(g: lf.SuperGraph, analysis: lf.Analysis, workers: int = 1,
-                seed: int = 7):
+def all_solvers(g: lf.SuperGraph, analysis: lf.Analysis, seed: int = 7):
     """Results of all four solvers, keyed by name."""
-    config = lf.EngineConfig(worker_count=workers)
     return {
         "sequential": lf.run_sequential(g, analysis),
         "chaotic": lf.run_chaotic(g, analysis, seed),
-        "classic": lf.run_classic(g, analysis, config),
-        "optimized": lf.run_optimized(g, analysis, config),
+        "classic": lf.run_classic(g, analysis),
+        "optimized": lf.run_optimized(g, analysis),
     }
 
 

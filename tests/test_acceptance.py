@@ -41,7 +41,7 @@ def test_criterion_1_four_way_equivalence():
     for name, make in sorted(ANALYSES.items()):
         analysis = make()
         for idx, g in enumerate(graphs):
-            runs = all_solvers(g, analysis, workers=2, seed=idx)
+            runs = all_solvers(g, analysis, seed=idx)
             reference = runs.pop("sequential")
             for solver, result in runs.items():
                 assert result.facts_equal(reference), (name, idx, solver)
@@ -67,12 +67,11 @@ def test_criterion_2_incremental_equals_scratch():
         pairs.append((old, new, batch))
     assert kinds_seen == set(ChangeKind), f"missing kinds: {set(ChangeKind) - kinds_seen}"
 
-    config = lf.EngineConfig()
     for name, make in sorted(ANALYSES.items()):
         analysis = make()
         for idx, (old, new, batch) in enumerate(pairs):
-            old_result = lf.run_optimized(old, analysis, config)
-            scratch_result = lf.run_optimized(new, analysis, config)
+            old_result = lf.run_optimized(old, analysis)
+            scratch_result = lf.run_optimized(new, analysis)
             scratch = lf.FactStore(analysis)
             scratch.batch_put(scratch_result.in_facts, scratch_result.out_facts)
             expected = scratch.snapshot()
@@ -80,7 +79,7 @@ def test_criterion_2_incremental_equals_scratch():
                 store = lf.FactStore(analysis)
                 store.batch_put(old_result.in_facts, old_result.out_facts)
                 before = store.snapshot()
-                run = runner(new, batch, store, analysis, config)
+                run = runner(new, batch, store, analysis)
                 after = store.snapshot()
                 assert after == expected, (name, idx, runner.__name__)
                 untouched = set(new.vertices) - set(run.impact.affected_all)
@@ -127,9 +126,8 @@ def test_criterion_4_superstep_economy():
     new = lf.SuperGraph(old.vertices, set(old.edges) | {(5, 10)})
     batch = lf.diff_graphs(old, new)
     analysis = lf.reaching_defs()
-    config = lf.EngineConfig()
 
-    base = lf.run_optimized(old, analysis, config)
+    base = lf.run_optimized(old, analysis)
     # The carried fact is already subsumed at the destination.
     assert base.out_facts[5].leq(base.in_facts[10])
 
@@ -138,7 +136,7 @@ def test_criterion_4_superstep_economy():
                          ("opt", lf.run_incremental_optimized)):
         store = lf.FactStore(analysis)
         store.batch_put(base.in_facts, base.out_facts)
-        run = runner(new, batch, store, analysis, config)
+        run = runner(new, batch, store, analysis)
         reports[mode] = run.result.to_report()
 
     assert reports["opt"]["supersteps"] <= 3
@@ -240,7 +238,7 @@ def test_criterion_7_cache_soundness_exhaustive():
                 seq.append(blocks[c % len(blocks)])
                 c //= len(blocks)
             g = _access_chain(seq)
-            result = lf.run_optimized(g, analysis, lf.EngineConfig())
+            result = lf.run_optimized(g, analysis)
             concrete = ConcreteLru(4, 2)
             for vid, block in enumerate(seq, start=1):
                 if result.in_facts[vid].must_hit(block, 4):

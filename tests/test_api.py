@@ -1,0 +1,42 @@
+"""The public API, pinned: a name added to or removed from the package's
+exports fails this test, so every change to the API shows in review."""
+
+import types
+
+import latticeflow as lf
+
+PUBLIC = {
+    # analyses
+    "CacheFact", "ConstProp", "ConstPropFact", "LruMustCache", "ReachingDefs",
+    "ReachingDefsFact", "TOP", "analysis_from_fingerprint", "analysis_from_name",
+    "const_prop", "lru_must_cache", "reaching_defs",
+    # cfg
+    "AtomicChange", "ChangeBatch", "ChangeKind", "SuperGraph", "VertexAttribute", "VertexId",
+    "added_edges", "added_vertices", "apply_changes", "deleted_vertices", "diff_graphs",
+    "parse_changes", "parse_changes_for_new", "parse_graph", "render_changes", "render_graph",
+    # engine
+    "Algorithm", "AnalysisResult", "run", "run_classic", "run_optimized", "seed_and_run",
+    # errors
+    "AnalysisDefinitionError", "ChangeConflictError", "DuplicateVertexError", "GraphError",
+    "GraphParseError", "LatticeflowError", "NonConvergenceError", "SeedMismatchError",
+    "StoreDecodeError", "StoreError", "StoreInconsistentError", "StoreIOError",
+    "UnknownVertexError", "WrongAnalysisError",
+    # incremental
+    "ImpactResult", "IncrementalRun", "build_impact", "run_incremental_naive",
+    "run_incremental_optimized", "seed_affected", "seed_affected_by_kind",
+    "transitive_closure",
+    # lattice
+    "Analysis", "Direction", "Fact",
+    # sequential
+    "run_chaotic", "run_sequential",
+    # stmts
+    "AccessStmt", "AssignBinOp", "AssignConst", "DefStmt", "Stmt", "Stmts", "UseStmt",
+    # store
+    "FactStore",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {name for name, value in vars(lf).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC

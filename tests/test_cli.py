@@ -198,8 +198,8 @@ def test_verify_empty_graph(capsys, tmp_path):
 def test_verify_flags_injected_divergence(capsys, monkeypatch):
     real = engine.run_optimized
 
-    def corrupted(g, analysis, config):
-        result = real(g, analysis, config)
+    def corrupted(g, analysis):
+        result = real(g, analysis)
         result.out_facts[4] = lf.ReachingDefsFact(frozenset({("bogus", "q")}))
         return result
 
@@ -247,7 +247,6 @@ _REQUIRED = {
     ("analyze", "--superstep-cap", "0"),
     ("incremental", "--workers", "-1"),
     ("incremental", "--superstep-cap", "0"),
-    ("verify", "--workers", "0"),
 ])
 def test_bad_count_flag_is_a_usage_error(capsys, command, flag, value):
     code, _, err = _run(capsys, command, *_REQUIRED[command], flag, value)
@@ -310,11 +309,26 @@ def test_incremental_on_non_utf8_fingerprint_exits_2(capsys, tmp_path):
     # no vertex is an entry: analyze refuses it, and so must incremental.
     (("incremental", "--cfg", "{no_entry}", "--changes", "{no_entry_changes}",
       "--store", "{entry_store}"), "graph has no entry vertices"),
+    # A cache geometry with more digits than int() parses.
+    (("incremental", "--cfg", "{demo_new}", "--changes", "{demo_changes}",
+      "--store", "{long_geometry_store}"), "too long"),
+    # An unwritable report fails before the run: no store is written.
+    (("analyze", "--cfg", "{cfg}", "--analysis", "rd", "--store", "{out}",
+      "--report", "{missing}/r.json"), "r.json"),
+    (("incremental", "--cfg", "{demo_new}", "--changes", "{demo_changes}",
+      "--store", "{demo_store}", "--report", "{missing}/r.json"), "r.json"),
 ], ids=["cfg-not-utf8", "diff-cfg-not-utf8", "changes-not-utf8", "vertex-id-2**64",
-        "sets-past-bound", "store-of-another-program", "update-without-entries"])
+        "sets-past-bound", "store-of-another-program", "update-without-entries",
+        "store-geometry-too-long", "analyze-report-unwritable",
+        "incremental-report-unwritable"])
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
     store, _ = _analyze(capsys, tmp_path, "diamond_rd.cfg", "rd")
     chain_store, _ = _analyze(capsys, tmp_path, "chain10.cfg", "rd")
+    demo_store, _ = _analyze(capsys, tmp_path, "incr_demo_old.cfg", "rd")
+    long_geometry_store = tmp_path / "long_geometry.store"
+    fingerprint = f"lru-must-cache(sets=4,assoc={'9' * 5000})|decreasing".encode()
+    long_geometry_store.write_bytes(b"LFSTORE1" + len(fingerprint).to_bytes(4, "little")
+                                    + fingerprint)
     with_entry = tmp_path / "with_entry.cfg"
     with_entry.write_text("V 1 entry def x d1\nV 2 use x\nE 1 2\n")
     no_entry = tmp_path / "no_entry.cfg"
@@ -326,7 +340,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
     assert cli.main(["diff", "--old", str(with_entry), "--new", str(no_entry),
                      "--out", str(no_entry_changes)]) == cli.EXIT_OK
     capsys.readouterr()
-    stored = {path: path.read_bytes() for path in (store, chain_store, entry_store)}
+    stored = {path: path.read_bytes()
+              for path in (store, chain_store, entry_store, demo_store, long_geometry_store)}
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes(b"V 1 entry def x d\xff\n")
     big_id = tmp_path / "big_id.cfg"
@@ -336,7 +351,9 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
              "chain_store": chain_store, "cfg": fixture_path("diamond_rd.cfg"),
              "demo_new": fixture_path("incr_demo_new.cfg"),
              "demo_changes": fixture_path("incr_demo.changes"), "no_entry": no_entry,
-             "no_entry_changes": no_entry_changes, "entry_store": entry_store}
+             "no_entry_changes": no_entry_changes, "entry_store": entry_store,
+             "demo_store": demo_store, "long_geometry_store": long_geometry_store,
+             "missing": tmp_path / "missing"}
     code, stdout, err = _run(capsys, *(a.format(**paths) for a in argv))
     assert code == cli.EXIT_USAGE
     assert stdout == ""

@@ -14,7 +14,7 @@ def _rd(*pairs):
 def test_classic_matches_oracle_on_diamond():
     g = load_fixture("diamond_rd.cfg")
     analysis = lf.reaching_defs()
-    classic = lf.run_classic(g, analysis, lf.EngineConfig())
+    classic = lf.run_classic(g, analysis)
     oracle = lf.run_sequential(g, analysis)
     assert classic.facts_equal(oracle)
     assert classic.in_facts[4] == _rd(("d1", "x"), ("d2", "y"), ("d3", "x"))
@@ -22,13 +22,13 @@ def test_classic_matches_oracle_on_diamond():
 
 def test_single_nop_entry_outputs_initial():
     g = lf.parse_graph("V 1 entry nop\n")
-    r = lf.run_classic(g, lf.reaching_defs(), lf.EngineConfig())
+    r = lf.run_classic(g, lf.reaching_defs())
     assert r.out_facts[1] == lf.reaching_defs().initial()
 
 
 def test_self_loop_converges_quickly():
     g = lf.parse_graph("V 1 entry def x d1\nE 1 1\n")
-    r = lf.run_optimized(g, lf.reaching_defs(), lf.EngineConfig())
+    r = lf.run_optimized(g, lf.reaching_defs())
     assert r.out_facts[1] == _rd(("d1", "x"))
     assert r.supersteps <= 3
 
@@ -36,8 +36,8 @@ def test_self_loop_converges_quickly():
 def test_optimized_equals_classic_on_diamond():
     g = load_fixture("diamond_rd.cfg")
     analysis = lf.reaching_defs()
-    a = lf.run_classic(g, analysis, lf.EngineConfig())
-    b = lf.run_optimized(g, analysis, lf.EngineConfig())
+    a = lf.run_classic(g, analysis)
+    b = lf.run_optimized(g, analysis)
     assert a.facts_equal(b)
 
 
@@ -49,7 +49,7 @@ def test_message_merges_into_retained_incoming_fact():
     seeded = _rd(("d2", "y"))
     incoming = _rd(("d1", "x"))
     r = lf.seed_and_run(
-        g, analysis, lf.EngineConfig(),
+        g, analysis,
         initial_in={4: seeded}, initial_out={4: None},
         initial_messages={4: [(1, incoming)]}, initial_active=[4])
     assert r.in_facts[4] == analysis.merge([incoming], seeded)
@@ -76,7 +76,7 @@ E 4 5
 E 4 6
 """)
     analysis = _MergeRecording(lf.reaching_defs())
-    r = lf.run_optimized(g, analysis, lf.EngineConfig())
+    r = lf.run_optimized(g, analysis)
     all_defs = _rd(("d0", "a"), ("d1", "b"), ("d2", "c"), ("d3", "e"))
     assert r.in_facts[4] == all_defs
     assert r.supersteps == 4
@@ -123,7 +123,7 @@ def test_engine_fixed_point_is_stable_under_reevaluation(runner):
     analysis = lf.reaching_defs()
     for _ in range(10):
         g = random_graph(rng, max_vertices=20, max_edges=50)
-        r = runner(g, analysis, lf.EngineConfig(worker_count=2))
+        r = runner(g, analysis)
         for k in lf.transitive_closure(set(g.entries), g):
             base = analysis.entry_fact() if k in g.entries else analysis.initial()
             new_in = analysis.merge([r.out_facts[q] for q in g.preds(k)], base)
@@ -133,7 +133,7 @@ def test_engine_fixed_point_is_stable_under_reevaluation(runner):
 
 def test_chain_converges_in_one_wavefront():
     g = load_fixture("chain10.cfg")
-    r = lf.run_optimized(g, lf.reaching_defs(), lf.EngineConfig())
+    r = lf.run_optimized(g, lf.reaching_defs())
     assert r.supersteps == 10
     assert r.out_facts[10] == _rd(("d1", "x"))
 
@@ -141,9 +141,9 @@ def test_chain_converges_in_one_wavefront():
 def test_seed_and_run_degenerate_equals_whole_program():
     g = load_fixture("diamond_rd.cfg")
     analysis = lf.reaching_defs()
-    whole = lf.run_optimized(g, analysis, lf.EngineConfig())
+    whole = lf.run_optimized(g, analysis)
     seeded = lf.seed_and_run(
-        g, analysis, lf.EngineConfig(),
+        g, analysis,
         initial_in={k: (analysis.entry_fact() if k in g.entries else analysis.initial())
                     for k in g.vertices},
         initial_out={k: None for k in g.vertices},
@@ -155,9 +155,9 @@ def test_seed_and_run_degenerate_equals_whole_program():
 def test_seed_and_run_from_converged_facts_changes_nothing():
     g = load_fixture("diamond_rd.cfg")
     analysis = lf.reaching_defs()
-    whole = lf.run_optimized(g, analysis, lf.EngineConfig())
+    whole = lf.run_optimized(g, analysis)
     seeded = lf.seed_and_run(
-        g, analysis, lf.EngineConfig(),
+        g, analysis,
         initial_in=dict(whole.in_facts), initial_out=dict(whole.out_facts),
         initial_messages={}, initial_active=sorted(g.entries))
     assert seeded.fact_updates == 0
@@ -170,23 +170,23 @@ def test_seed_and_run_validates_coverage():
     good_in = {k: analysis.initial() for k in g.vertices}
     good_out = {k: None for k in g.vertices}
     with pytest.raises(lf.SeedMismatchError):
-        lf.seed_and_run(g, analysis, lf.EngineConfig(), {1: analysis.initial()},
+        lf.seed_and_run(g, analysis, {1: analysis.initial()},
                         good_out, {}, [])
     with pytest.raises(lf.SeedMismatchError):
-        lf.seed_and_run(g, analysis, lf.EngineConfig(), good_in, good_out,
+        lf.seed_and_run(g, analysis, good_in, good_out,
                         {99: [(1, analysis.initial())]}, [])
     with pytest.raises(lf.SeedMismatchError):
-        lf.seed_and_run(g, analysis, lf.EngineConfig(), good_in, good_out, {}, [99])
+        lf.seed_and_run(g, analysis, good_in, good_out, {}, [99])
     # Vertex 1 is seeded but its successors 2 and 3 are not.
     with pytest.raises(lf.SeedMismatchError):
-        lf.seed_and_run(g, analysis, lf.EngineConfig(), {1: analysis.initial()},
+        lf.seed_and_run(g, analysis, {1: analysis.initial()},
                         {1: None}, {}, [1])
     with pytest.raises(lf.SeedMismatchError):
-        lf.seed_and_run(g, analysis, lf.EngineConfig(), {**good_in, 99: analysis.initial()},
+        lf.seed_and_run(g, analysis, {**good_in, 99: analysis.initial()},
                         {**good_out, 99: None}, {}, [])
     # {2, 4} is closed under successors: the run covers it and nothing else.
-    whole = lf.run_optimized(g, analysis, lf.EngineConfig())
-    part = lf.seed_and_run(g, analysis, lf.EngineConfig(),
+    whole = lf.run_optimized(g, analysis)
+    part = lf.seed_and_run(g, analysis,
                            {2: analysis.initial(), 4: analysis.initial()},
                            {2: None, 4: None}, {2: [(1, whole.out_facts[1])]}, [])
     assert part.in_facts.keys() == part.out_facts.keys() == {2, 4}
@@ -195,30 +195,12 @@ def test_seed_and_run_validates_coverage():
 
 
 @pytest.mark.parametrize("make", [lf.reaching_defs, lf.const_prop, lf.lru_must_cache])
-def test_partition_independence(make):
-    rng = random.Random(31)
-    analysis = make()
-    for _ in range(6):
-        g = random_graph(rng, max_vertices=25, max_edges=60)
-        reference = reports = None
-        for workers in (1, 2, 4, 8):
-            r = lf.run_optimized(g, analysis, lf.EngineConfig(worker_count=workers))
-            c = lf.run_classic(g, analysis, lf.EngineConfig(worker_count=workers))
-            if reference is None:
-                reference = r
-                reports = (r.to_report(), c.to_report())
-            assert r.facts_equal(reference)
-            assert c.facts_equal(reference)
-            assert (r.to_report(), c.to_report()) == reports
-
-
-@pytest.mark.parametrize("make", [lf.reaching_defs, lf.const_prop, lf.lru_must_cache])
 def test_four_way_equivalence_random(make):
     rng = random.Random(43)
     analysis = make()
     for _ in range(12):
         g = random_graph(rng, max_vertices=30, max_edges=80)
-        runs = all_solvers(g, analysis, workers=2, seed=rng.randint(0, 10**6))
+        runs = all_solvers(g, analysis, seed=rng.randint(0, 10**6))
         reference = runs.pop("sequential")
         for name, result in runs.items():
             assert result.facts_equal(reference), name
@@ -264,7 +246,7 @@ def test_monotone_trajectory(make, runner):
     for _ in range(8):
         g = random_graph(rng, max_vertices=20, max_edges=50)
         recorder.trajectory.clear()
-        runner(g, recorder, lf.EngineConfig())
+        runner(g, recorder)
         for old, new in recorder.trajectory:
             if old is None:
                 continue
@@ -305,20 +287,24 @@ class _Oscillator(Analysis):
 def test_non_monotone_analysis_hits_superstep_cap():
     g = lf.parse_graph("V 1 entry nop\nV 2 nop\nE 1 2\nE 2 1\n")
     with pytest.raises(lf.NonConvergenceError):
-        lf.run_optimized(g, _Oscillator(), lf.EngineConfig())
+        lf.run_optimized(g, _Oscillator())
     with pytest.raises(lf.NonConvergenceError):
-        lf.run_classic(g, _Oscillator(), lf.EngineConfig())
+        lf.run_classic(g, _Oscillator())
 
 
 def test_superstep_cap_override():
     g = load_fixture("chain10.cfg")
     with pytest.raises(lf.NonConvergenceError):
-        lf.run_optimized(g, lf.reaching_defs(), lf.EngineConfig(superstep_cap=3))
+        lf.run_optimized(g, lf.reaching_defs(), superstep_cap=3)
+    assert lf.run_classic(g, lf.reaching_defs(), superstep_cap=10).supersteps == 10
+    for runner in (lf.run_classic, lf.run_optimized):
+        with pytest.raises(ValueError, match="superstep_cap"):
+            runner(g, lf.reaching_defs(), superstep_cap=0)
 
 
 def test_run_report_shape():
     g = load_fixture("chain10.cfg")
-    r = lf.run_optimized(g, lf.reaching_defs(), lf.EngineConfig())
+    r = lf.run_optimized(g, lf.reaching_defs())
     report = r.to_report()
     assert report["supersteps"] == 10
     assert len(report["active_per_superstep"]) == 10

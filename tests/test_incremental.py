@@ -7,6 +7,7 @@ incremental results against from-scratch runs.
 
 import json
 import random
+import re
 
 import pytest
 
@@ -27,7 +28,7 @@ def _example():
 
 def _converged_store(graph, analysis):
     store = lf.FactStore(analysis)
-    result = lf.run_optimized(graph, analysis, lf.EngineConfig())
+    result = lf.run_optimized(graph, analysis)
     store.batch_put(result.in_facts, result.out_facts)
     return store
 
@@ -176,7 +177,7 @@ def test_empty_batch_touches_nothing(runner):
     analysis = lf.reaching_defs()
     store = _converged_store(g, analysis)
     before = store.snapshot()
-    run = runner(g, (), store, analysis, lf.EngineConfig())
+    run = runner(g, (), store, analysis)
     assert store.snapshot() == before
     assert run.result.supersteps == 0
     assert not run.impact.affected_all
@@ -191,7 +192,7 @@ def test_added_edge_on_diamond_matches_scratch(make, runner):
     batch = lf.diff_graphs(old, new)
     analysis = make()
     store = _converged_store(old, analysis)
-    runner(new, batch, store, analysis, lf.EngineConfig())
+    runner(new, batch, store, analysis)
     assert store.snapshot() == _scratch_snapshot(new, analysis)
 
 
@@ -201,7 +202,7 @@ def test_worked_example_updates_only_affected(make):
     analysis = make()
     store = _converged_store(old, analysis)
     before = store.snapshot()
-    run = lf.run_incremental_naive(new, batch, store, analysis, lf.EngineConfig())
+    run = lf.run_incremental_naive(new, batch, store, analysis)
     after = store.snapshot()
     assert after == _scratch_snapshot(new, analysis)
     untouched = set(new.vertices) - set(run.impact.affected_all)
@@ -222,7 +223,7 @@ def test_random_edits_match_scratch_both_modes(make):
         scratch = _scratch_snapshot(new, analysis)
         for runner in (lf.run_incremental_naive, lf.run_incremental_optimized):
             store = _converged_store(old, analysis)
-            runner(new, batch, store, analysis, lf.EngineConfig())
+            runner(new, batch, store, analysis)
             assert store.snapshot() == scratch
 
 
@@ -231,10 +232,10 @@ def test_incremental_is_idempotent(make):
     old, new, batch = _example()
     analysis = make()
     store = _converged_store(old, analysis)
-    lf.run_incremental_optimized(new, batch, store, analysis, lf.EngineConfig())
+    lf.run_incremental_optimized(new, batch, store, analysis)
     settled = store.snapshot()
     rerun = lf.run_incremental_optimized(new, lf.diff_graphs(new, new), store,
-                                         analysis, lf.EngineConfig())
+                                         analysis)
     assert store.snapshot() == settled
     assert rerun.result.supersteps == 0
 
@@ -291,16 +292,16 @@ def test_seeded_subgraph_run_reconverges_from_boundary_facts():
     # a pending message.
     old, new, batch = _example()
     analysis = lf.reaching_defs()
-    old_result = lf.run_optimized(old, analysis, lf.EngineConfig())
+    old_result = lf.run_optimized(old, analysis)
     affected = build_impact(batch, new, per_kind=False).affected_all
     seeded = lf.seed_and_run(
-        new, analysis, lf.EngineConfig(),
+        new, analysis,
         initial_in={k: analysis.initial() for k in affected},
         initial_out={k: analysis.initial() for k in affected},
         initial_messages={4: [(3, old_result.out_facts[3])]},
         initial_active=sorted(affected))
     assert seeded.in_facts.keys() == seeded.out_facts.keys() == affected
-    scratch = lf.run_optimized(new, analysis, lf.EngineConfig())
+    scratch = lf.run_optimized(new, analysis)
     for k in affected:
         assert seeded.in_facts[k] == scratch.in_facts[k]
         assert seeded.out_facts[k] == scratch.out_facts[k]
@@ -327,7 +328,7 @@ E 4 2
     batch = lf.diff_graphs(old, new)
     analysis = make()
     store = _converged_store(old, analysis)
-    runner(new, batch, store, analysis, lf.EngineConfig())
+    runner(new, batch, store, analysis)
     assert store.snapshot() == _scratch_snapshot(new, analysis)
 
 
@@ -349,7 +350,7 @@ E 1 2
                for c in batch)  # the entry flip must surface as a node change
     analysis = make()
     store = _converged_store(old, analysis)
-    runner(new, batch, store, analysis, lf.EngineConfig())
+    runner(new, batch, store, analysis)
     assert store.snapshot() == _scratch_snapshot(new, analysis)
 
 
@@ -359,7 +360,7 @@ def test_store_miss_for_boundary_predecessor_raises():
     store = _converged_store(old, analysis)
     store.batch_put({}, {}, purge={3})  # vertex 3 is the unaffected boundary predecessor
     with pytest.raises(lf.StoreInconsistentError):
-        lf.run_incremental_naive(new, batch, store, analysis, lf.EngineConfig())
+        lf.run_incremental_naive(new, batch, store, analysis)
 
 
 def test_store_miss_for_warm_start_vertex_raises():
@@ -368,7 +369,7 @@ def test_store_miss_for_warm_start_vertex_raises():
     store = _converged_store(old, analysis)
     store.batch_put({}, {}, purge={8})  # vertex 8 would be warm-started in optimized mode
     with pytest.raises(lf.StoreInconsistentError):
-        lf.run_incremental_optimized(new, batch, store, analysis, lf.EngineConfig())
+        lf.run_incremental_optimized(new, batch, store, analysis)
 
 
 def test_deleted_vertex_facts_are_purged_only_on_success():
@@ -377,9 +378,28 @@ def test_deleted_vertex_facts_are_purged_only_on_success():
     store = _converged_store(old, analysis)
     store.batch_put({}, {}, purge={3})
     with pytest.raises(lf.StoreInconsistentError):
-        lf.run_incremental_naive(new, batch, store, analysis, lf.EngineConfig())
+        lf.run_incremental_naive(new, batch, store, analysis)
     # The failed run must not have purged the deleted vertex's facts.
     assert 2 in store.vertices()
+
+
+@pytest.mark.parametrize("changes", ["worked example", "none"])
+def test_store_of_another_program_is_refused_before_anything_is_written(tmp_path, changes):
+    # chain10 has vertices 1..10; the worked example starts from 1..8.
+    _, new, batch = _example()
+    if changes == "none":
+        batch = lf.diff_graphs(new, new)
+    analysis = lf.reaching_defs()
+    path = tmp_path / "chain10.store"
+    store = lf.FactStore.create(path, analysis)
+    result = lf.run_optimized(load_fixture("chain10.cfg"), analysis)
+    store.batch_put(result.in_facts, result.out_facts)
+    blob = path.read_bytes()
+    with pytest.raises(lf.StoreInconsistentError,
+                       match=re.escape(f"store {path} was not computed for the program")):
+        lf.run_incremental_optimized(new, batch, store, analysis)
+    assert path.read_bytes() == blob
+    assert store.vertices() == set(range(1, 11))
 
 
 @pytest.mark.parametrize("make", ANALYSES)
@@ -403,7 +423,7 @@ E 4 3
     batch = lf.diff_graphs(old, new)
     analysis = make()
     store = _converged_store(old, analysis)
-    runner(new, batch, store, analysis, lf.EngineConfig())
+    runner(new, batch, store, analysis)
     assert store.snapshot() == _scratch_snapshot(new, analysis)
 
 
@@ -425,9 +445,9 @@ def test_full_reset_costs_what_a_scratch_run_costs(make, runner):
     assert batch == lf.diff_graphs(old, new)
     analysis = make()
     store = _converged_store(old, analysis)
-    run = runner(new, batch, store, analysis, lf.EngineConfig())
+    run = runner(new, batch, store, analysis)
     assert run.impact.affected_all == set(new.vertices)
-    scratch = lf.run_optimized(new, analysis, lf.EngineConfig())
+    scratch = lf.run_optimized(new, analysis)
     counts = (run.result.supersteps, run.result.messages_sent, run.result.fact_updates)
     assert counts == (scratch.supersteps, scratch.messages_sent, scratch.fact_updates)
     assert counts == (n, n - 1, n)
@@ -441,16 +461,16 @@ def test_incremental_run_commits_the_store_once(tmp_path, monkeypatch):
     analysis = lf.reaching_defs()
     path = tmp_path / "facts.store"
     store = lf.FactStore.create(path, analysis)
-    result = lf.run_optimized(old, analysis, lf.EngineConfig())
+    result = lf.run_optimized(old, analysis)
     store.batch_put(result.in_facts, result.out_facts)
     commits = []
     original = lf.FactStore._commit
     monkeypatch.setattr(lf.FactStore, "_commit",
                         lambda self, *a: commits.append(1) or original(self, *a))
-    run = lf.run_incremental_optimized(new, batch, store, analysis, lf.EngineConfig())
+    run = lf.run_incremental_optimized(new, batch, store, analysis)
     assert run.purged == {2}
     assert len(commits) == 1
     fresh = lf.FactStore.create(tmp_path / "fresh.store", analysis)
-    scratch = lf.run_optimized(new, analysis, lf.EngineConfig())
+    scratch = lf.run_optimized(new, analysis)
     fresh.batch_put(scratch.in_facts, scratch.out_facts)
     assert path.read_bytes() == (tmp_path / "fresh.store").read_bytes()

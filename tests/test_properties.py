@@ -6,8 +6,9 @@ some with flagged entries -- and a sequence of edit batches that delete,
 rewrite and add vertices and edges and flip entry flags. Each batch goes
 through the change-file text, the way the CLI receives it, and is applied
 in both incremental modes to file-backed stores that carry every earlier
-batch. After each batch both store files must be byte-identical to the file
-a whole-program analysis of the updated program writes.
+batch. The first program is analysed with a drawn algorithm, classic or
+optimized. After each batch both store files must be byte-identical to the
+file a whole-program analysis of the updated program writes.
 """
 
 import tempfile
@@ -123,9 +124,9 @@ def edit_sequences(draw):
     return versions
 
 
-def _analyze_to(path, graph, analysis, config):
+def _analyze_to(path, graph, analysis, solver=lf.run_optimized):
     store = lf.FactStore.create(path, analysis)
-    result = lf.run_optimized(graph, analysis, config)
+    result = solver(graph, analysis)
     store.batch_put(result.in_facts, result.out_facts)
     return store
 
@@ -134,20 +135,20 @@ def _analyze_to(path, graph, analysis, config):
 # A fixed example set keeps the suite reproducible; at fewer examples it
 # stops reaching the rare stranded-region cases that break a warm start.
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(versions=edit_sequences(), workers=st.sampled_from([1, 3]))
-def test_incremental_store_bytes_equal_a_fresh_analysis(make, versions, workers):
+@given(versions=edit_sequences(), base_solver=st.sampled_from([lf.run_classic,
+                                                               lf.run_optimized]))
+def test_incremental_store_bytes_equal_a_fresh_analysis(make, versions, base_solver):
     analysis = make()
-    config = lf.EngineConfig(worker_count=workers)
     runners = {"naive": lf.run_incremental_naive, "opt": lf.run_incremental_optimized}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        stores = {mode: _analyze_to(tmp / f"{mode}.store", versions[0], analysis, config)
+        stores = {mode: _analyze_to(tmp / f"{mode}.store", versions[0], analysis, base_solver)
                   for mode in runners}
         for old, new in zip(versions, versions[1:]):
             batch = lf.diff_graphs(old, new)
             assert lf.parse_changes_for_new(lf.render_changes(batch), new) == batch
-            _analyze_to(tmp / "fresh.store", new, analysis, config)
+            _analyze_to(tmp / "fresh.store", new, analysis)
             fresh = (tmp / "fresh.store").read_bytes()
             for mode, runner in runners.items():
-                runner(new, batch, stores[mode], analysis, config)
+                runner(new, batch, stores[mode], analysis)
                 assert (tmp / f"{mode}.store").read_bytes() == fresh, mode

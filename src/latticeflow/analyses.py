@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from operator import is_
 from typing import Sequence
 
 from .errors import AnalysisDefinitionError
@@ -79,10 +80,12 @@ class ReachingDefs(Analysis):
 
     def merge(self, pred_facts: Sequence[ReachingDefsFact],
               old_in: ReachingDefsFact) -> ReachingDefsFact:
-        defs = old_in.defs
+        acc = old_in
         for f in pred_facts:
-            defs = defs | f.defs
-        return ReachingDefsFact(defs)
+            if f.defs <= acc.defs:
+                continue
+            acc = f if acc.defs <= f.defs else ReachingDefsFact(acc.defs | f.defs)
+        return acc
 
     def transfer(self, stmts: Stmts, in_fact: ReachingDefsFact) -> ReachingDefsFact:
         _check_stmts(stmts)
@@ -90,7 +93,7 @@ class ReachingDefs(Analysis):
         for s in stmts:
             if isinstance(s, DefStmt):
                 defs = frozenset(d for d in defs if d[1] != s.var) | {(s.def_id, s.var)}
-        return ReachingDefsFact(defs)
+        return in_fact if defs is in_fact.defs else ReachingDefsFact(defs)
 
     def encode(self, fact: ReachingDefsFact) -> bytes:
         return _canonical_json(sorted(fact.defs))
@@ -160,17 +163,23 @@ class ConstProp(Analysis):
 
     def merge(self, pred_facts: Sequence[ConstPropFact],
               old_in: ConstPropFact) -> ConstPropFact:
-        env = dict(old_in.env)
+        acc = old_in
         for f in pred_facts:
+            if f.leq(acc):
+                continue
+            if acc.leq(f):
+                acc = f
+                continue
+            env = dict(acc.env)
             for var, val in f.env.items():
-                if var in env:
-                    env[var] = _join_value(env[var], val)
-                else:
-                    env[var] = val
-        return ConstPropFact(env)
+                env[var] = _join_value(env[var], val) if var in env else val
+            acc = ConstPropFact(env)
+        return acc
 
     def transfer(self, stmts: Stmts, in_fact: ConstPropFact) -> ConstPropFact:
         _check_stmts(stmts)
+        if not any(isinstance(s, (AssignConst, AssignBinOp)) for s in stmts):
+            return in_fact
         env = dict(in_fact.env)
         for s in stmts:
             if isinstance(s, AssignConst):
@@ -275,14 +284,20 @@ class LruMustCache(Analysis):
             return old_in
         if len(reached) == 1:
             return reached[0]
-        # Facts are immutable, so a set dict the meet leaves alone is shared.
+        # Facts are immutable, so a met set equal to an operand's set is that
+        # set, and a meet equal to an operand is that operand.
         acc = list(reached[0].sets)
         for f in reached[1:]:
             for idx, theirs in enumerate(f.sets):
                 mine = acc[idx]
-                if mine is not theirs:
-                    acc[idx] = {block: max(age, theirs[block])
-                                for block, age in mine.items() if block in theirs}
+                if mine != theirs:
+                    met = {block: max(age, theirs[block])
+                           for block, age in mine.items() if block in theirs}
+                    if met != mine:
+                        acc[idx] = theirs if met == theirs else met
+        for f in reached:
+            if all(map(is_, acc, f.sets)):
+                return f
         return CacheFact(False, tuple(acc))
 
     def transfer(self, stmts: Stmts, in_fact: CacheFact) -> CacheFact:

@@ -19,6 +19,19 @@ Two algorithms share this skeleton and reach the same fixed point:
   associativity of the client merge make the accumulated incoming fact
   equal to the classic re-merge.
 
+  A vertex that is not an entry and has exactly one predecessor in the
+  graph folds its messages into ``initial()`` instead. Its retained
+  incoming fact joins what that predecessor sent before (or, for a
+  warm-started vertex, what it sent in the stored run), and a monotone
+  client's successive outgoing facts at one vertex form a chain in the
+  direction of iteration (Kam & Ullman, 1977), so the newest message
+  already holds everything retained; with the bundled kernels the incoming
+  fact is then the message itself. An entry keeps the retained fold,
+  because that also holds the entry fact. The predecessor count is taken
+  on the whole graph: in an incremental run a predecessor outside the
+  seeded vertices sends its fact once, at superstep 0, so a vertex with
+  such a predecessor never qualifies.
+
 A vertex that has never produced an outgoing fact holds the sentinel
 ``None``; the first computation at a vertex therefore always propagates.
 Active vertices are processed in ascending id order and gathered facts are
@@ -168,6 +181,8 @@ def _execute(g: SuperGraph, analysis: Analysis, algorithm: Algorithm,
     cap = max(1, 10 * len(in_facts)) if superstep_cap is None else superstep_cap
     classic = algorithm is Algorithm.CLASSIC
     initial, entry = analysis.initial(), analysis.entry_fact()
+    preds, succs_of, entries, vertices = g.preds, g.succs, g.entries, g.vertices
+    merge, transfer, propagate = analysis.merge, analysis.transfer, analysis.propagate
     active = active | set(inbox)  # a pending message activates its target
 
     supersteps = 0
@@ -189,28 +204,36 @@ def _execute(g: SuperGraph, analysis: Analysis, algorithm: Algorithm,
         for k in sorted(active):
             if classic:
                 # preds are id-sorted: canonical merge order
-                gathered = [out_facts[q] for q in g.preds(k) if out_facts[q] is not None]
+                gathered = [out_facts[q] for q in preds(k) if out_facts[q] is not None]
                 messages_sent += len(gathered)
-                new_in = analysis.merge(gathered, entry if k in g.entries else initial)
+                new_in = merge(gathered, entry if k in entries else initial)
             else:
-                new_in = analysis.merge(inbox.get(k, ()), in_facts[k])
-            new_out = analysis.transfer(g.vertices[k].stmts, new_in)
+                msgs = inbox.get(k, ())
+                # A sole predecessor's newest fact subsumes the retained IN.
+                sole = msgs and k not in entries and len(preds(k)) == 1
+                new_in = merge(msgs, initial if sole else in_facts[k])
+            new_out = transfer(vertices[k].stmts, new_in)
             in_facts[k] = new_in
-            if analysis.propagate(out_facts[k], new_out):
+            if propagate(out_facts[k], new_out):
                 fact_updates += 1
-                succs = g.succs(k)
-                next_active.update(succs)
+                succs = succs_of(k)
                 if classic:
+                    next_active.update(succs)
                     changed.append((k, new_out))
                 else:
                     out_facts[k] = new_out
                     for d in succs:
-                        next_inbox.setdefault(d, []).append(new_out)
+                        box = next_inbox.get(d)
+                        if box is None:
+                            next_inbox[d] = [new_out]
+                        else:
+                            box.append(new_out)
                     messages_sent += len(succs)
         # Barrier: what superstep t produced becomes visible in t+1.
         out_facts.update(changed)
         inbox = next_inbox
-        active = next_active
+        # An optimized vertex is active exactly when a message waits for it.
+        active = next_active if classic else next_inbox.keys()
 
     return AnalysisResult(
         in_facts=in_facts,

@@ -2,10 +2,10 @@
 
 A client supplies a lattice of facts plus three functions:
 
-* ``merge`` folds predecessor facts into an incoming fact. It must be
-  commutative and associative over the predecessor facts, and folding the
-  empty sequence must return ``old_in`` unchanged (``initial()`` is the
-  fold unit).
+* ``merge`` folds predecessor facts into an incoming fact. It is the
+  lattice join (the meet, for a decreasing analysis), so it must be
+  commutative, associative and idempotent, and folding the empty sequence
+  must return ``old_in`` unchanged (``initial()`` is the fold unit).
 * ``transfer`` maps an incoming fact through a vertex's statements. It must
   be deterministic and monotone with respect to ``Fact.leq``; finite lattice
   height is what makes the fixed-point iteration terminate.
@@ -21,6 +21,11 @@ reason a client may return an argument it did not change, or build a new
 fact that shares the unchanged parts of one, and a fact store, which holds
 each vertex's IN/OUT pair, hands one decoded object to every stored fact
 whose payload bytes are equal.
+
+The optimized engine relies on these properties: at a vertex with a single
+predecessor it folds that predecessor's newest fact into ``initial()``
+instead of into the retained incoming fact (see ``engine``), which is only
+the same fact for a monotone ``transfer`` and an idempotent ``merge``.
 
 ``entry_fact`` is the value assumed to flow into CFG entry vertices. For
 most analyses it coincides with ``initial()``; it exists separately because
@@ -57,7 +62,8 @@ class Fact(Protocol):
     Equality (``==``) decides propagation and result comparison, and
     ``leq`` is the lattice partial order (reflexive, anti-symmetric,
     transitive). The engines themselves never call ``leq``; it exists so
-    monotonicity and ordering properties are testable.
+    monotonicity and ordering properties are testable, and a client's own
+    kernels may use it.
     """
 
     def leq(self, other: "Fact") -> bool: ...

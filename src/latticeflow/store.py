@@ -5,9 +5,8 @@ fact payloads, serialized by the owning analysis: a vertex is stored with
 both facts or not at all. Every store carries the analysis fingerprint it
 was written with and refuses readers with a different one. Facts are
 immutable (see ``lattice``), so a batch read decodes each distinct payload
-once and shares the fact, and a batch write encodes a fact object once for
-consecutive facts that are that object (a vertex's IN and OUT, or one
-vertex's OUT and the next vertex's IN).
+once and shares the fact, and a batch write encodes each distinct fact
+object once, however many IN and OUT slots of the batch hold it.
 
 A store without a path lives in memory. A file-backed store is a single
 snapshot: a header (magic, format version, fingerprint), then two
@@ -113,18 +112,25 @@ class FactStore:
         the ``purge`` vertices, even ones ``in_facts`` names, in one commit."""
         doomed = set(purge)
         staged = {v: pair for v, pair in self._entries.items() if v not in doomed}
-        encode = self._analysis.encode
-        last = data = None  # facts are never None
-        for vertex in sorted(in_facts.keys() - doomed):
-            in_fact, out_fact = in_facts[vertex], out_facts[vertex]
-            if in_fact is not last:
-                last, data = in_fact, encode(in_fact)
-            in_data = data
-            if out_fact is not last:
-                last, data = out_fact, encode(out_fact)
-            staged[vertex] = (in_data, data)
+        self._encode_into(staged, in_facts, out_facts, sorted(in_facts.keys() - doomed))
         self._commit(staged)
         self._entries = staged
+
+    def _encode_into(self, staged: Entries, in_facts: Mapping[VertexId, Fact],
+                     out_facts: Mapping[VertexId, Fact], vertices: list[VertexId]) -> None:
+        """Encode the pairs of ``vertices`` into ``staged``, each distinct
+        fact object once; the memo is gone before the snapshot renders."""
+        encode = self._analysis.encode
+        encoded: dict[int, bytes] = {}  # by id(): the mappings keep every fact alive
+
+        def data(fact: Fact) -> bytes:
+            payload = encoded.get(id(fact))
+            if payload is None:
+                payload = encoded[id(fact)] = encode(fact)
+            return payload
+
+        for vertex in vertices:
+            staged[vertex] = (data(in_facts[vertex]), data(out_facts[vertex]))
 
     def vertices(self) -> KeysView[VertexId]:
         return self._entries.keys()

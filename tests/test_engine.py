@@ -96,6 +96,7 @@ class _MergeRecording(lf.Analysis):
         self.name = inner.name
         self.direction = inner.direction
         self.calls = []
+        self.transfers = []  # the engines transfer right after each merge
 
     def initial(self):
         return self.inner.initial()
@@ -108,6 +109,7 @@ class _MergeRecording(lf.Analysis):
         return self.inner.merge(pred_facts, old_in)
 
     def transfer(self, stmts, in_fact):
+        self.transfers.append(stmts)
         return self.inner.transfer(stmts, in_fact)
 
     def encode(self, fact):
@@ -115,6 +117,74 @@ class _MergeRecording(lf.Analysis):
 
     def decode(self, data):
         return self.inner.decode(data)
+
+
+def test_entry_with_only_a_back_edge_keeps_the_entry_fact():
+    # Entry 1's sole predecessor is 2, over a back edge. A must-cache entry
+    # fact (empty cache) differs from the merge unit (unreached), so an IN
+    # built from 2's message alone would claim block 0 is cached at 1.
+    g = lf.parse_graph("V 1 entry nop\nV 2 access 0\nE 1 2\nE 2 1\n")
+    analysis = lf.lru_must_cache()
+    r = lf.run_optimized(g, analysis)
+    assert r.in_facts[1] == analysis.entry_fact()
+    assert r.facts_equal(lf.run_sequential(g, analysis))
+
+
+def test_seeded_boundary_fact_survives_later_messages():
+    # Vertex 3 has predecessors 1 and 2; only {2, 3} is seeded, so 1's fact
+    # arrives once, as a superstep-0 message. 2's message comes a superstep
+    # later and must be folded into the IN that holds 1's fact.
+    g = lf.parse_graph("V 1 entry def y d1\nV 2 entry def x d2\nV 3 use x\nE 1 3\nE 2 3\n")
+    analysis = lf.reaching_defs()
+    r = lf.seed_and_run(g, analysis,
+                        initial_in={2: analysis.entry_fact(), 3: analysis.initial()},
+                        initial_out={2: None, 3: None},
+                        initial_messages={3: [(1, _rd(("d1", "y")))]}, initial_active=[2])
+    assert r.in_facts[3] == _rd(("d1", "y"), ("d2", "x"))
+    assert r.supersteps == 2
+
+
+def test_sole_predecessor_message_is_folded_into_the_merge_unit():
+    # 2 has predecessors 1 and 4. 3 and 4 have one predecessor each and
+    # compute again when the loop feeds 2 a second time: each new message
+    # already holds the retained IN, so the merge starts from initial().
+    g = lf.parse_graph("V 1 entry def x d1\nV 2 use x\nV 3 def y d3\nV 4 def x d4\n"
+                       "V 5 use y\nE 1 2\nE 2 3\nE 3 4\nE 4 2\nE 4 5\n")
+    analysis = _MergeRecording(lf.reaching_defs())
+    r = lf.run_optimized(g, analysis)
+    assert r.facts_equal(lf.run_sequential(g, lf.reaching_defs()))
+    vertex_of = {attr.stmts: k for k, attr in g.vertices.items()}
+    bases = {}
+    for (msgs, old_in), stmts in zip(analysis.calls, analysis.transfers, strict=True):
+        if msgs:
+            bases.setdefault(vertex_of[stmts], []).append(old_in)
+    initial = analysis.initial()
+    assert len(bases[3]) == len(bases[4]) == 2
+    assert all(old_in == initial for k in (3, 4, 5) for old_in in bases[k])
+    assert bases[2][-1] != initial  # two predecessors: the retained IN
+
+
+CHAINS = {
+    "rd": (lf.reaching_defs, ["def x d1", "use x", "def y d3", "use y", "def x d5"]),
+    "cp": (lf.const_prop, ["assign x = 1", "assign y = x + x", "nop",
+                           "assign x = 3", "assign z = y * x"]),
+    "cache": (lf.lru_must_cache, ["access 0", "access 1", "nop", "access 4", "access 0"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_chain_vertex_takes_its_predecessors_fact_itself(kind):
+    # A chain vertex has one predecessor, so its IN is that vertex's OUT,
+    # the very object, not an equal copy.
+    make, payloads = CHAINS[kind]
+    lines = [f"V {k} {'entry ' if k == 1 else ''}{p}" for k, p in enumerate(payloads, 1)]
+    lines += [f"E {k} {k + 1}" for k in range(1, len(payloads))]
+    g = lf.parse_graph("\n".join(lines) + "\n")
+    analysis = make()
+    r = lf.run_optimized(g, analysis)
+    assert r.facts_equal(lf.run_sequential(g, analysis))
+    for k in range(2, len(payloads) + 1):
+        assert r.in_facts[k] is r.out_facts[k - 1]
 
 
 @pytest.mark.parametrize("runner", [lf.run_classic, lf.run_optimized])

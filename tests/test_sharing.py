@@ -1,5 +1,7 @@
 """Properties of facts that share parts: kernels never alter an argument,
-and the cache encoder writes canonical JSON without building it.
+return an argument where they promise to, agree with reference kernels
+that share nothing, and the cache encoder writes canonical JSON without
+building it.
 
 Facts are immutable, so a kernel may return an argument it did not change
 or hand an unchanged part of it to a new fact. These tests draw facts and
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticeflow as lf
-from latticeflow.analyses import _canonical_json
+from latticeflow.analyses import _canonical_json, _eval_binop, _join_value, _wrap64
 
 CACHE_SETS = 4
 
@@ -84,6 +86,109 @@ def test_kernels_leave_their_arguments_unchanged(kind, data):
         assert fact == before
     assert (a_out, merged, out, last) == (a_expected, merged_expected,
                                           out_expected, last_expected)
+
+
+# Reference kernels that build every result from scratch and return no
+# argument: the kernels as they were before they shared anything.
+
+
+def _rd_merge(preds, old_in):
+    defs = set(old_in.defs)
+    for f in preds:
+        defs |= f.defs
+    return lf.ReachingDefsFact(frozenset(defs))
+
+
+def _rd_transfer(stmts, in_fact):
+    defs = set(in_fact.defs)
+    for s in stmts:
+        if isinstance(s, lf.DefStmt):
+            defs = {d for d in defs if d[1] != s.var} | {(s.def_id, s.var)}
+    return lf.ReachingDefsFact(frozenset(defs))
+
+
+def _cp_merge(preds, old_in):
+    env = dict(old_in.env)
+    for f in preds:
+        for var, val in f.env.items():
+            env[var] = _join_value(env[var], val) if var in env else val
+    return lf.ConstPropFact(env)
+
+
+def _cp_transfer(stmts, in_fact):
+    env = dict(in_fact.env)
+    for s in stmts:
+        if isinstance(s, lf.AssignConst):
+            env[s.var] = _wrap64(s.value)
+        elif isinstance(s, lf.AssignBinOp):
+            left, right = env.get(s.left), env.get(s.right)
+            if left is None or right is None:
+                env.pop(s.var, None)
+            elif left is lf.TOP or right is lf.TOP:
+                env[s.var] = lf.TOP
+            else:
+                env[s.var] = _wrap64(_eval_binop(s.op, left, right))
+    return lf.ConstPropFact(env)
+
+
+def _cache_merge(preds, old_in):
+    reached = [f for f in (*preds, old_in) if not f.unreached]
+    if not reached:
+        return lf.CacheFact(unreached=True, sets=())
+    sets = [dict(s) for s in reached[0].sets]
+    for f in reached[1:]:
+        sets = [{b: max(age, theirs[b]) for b, age in mine.items() if b in theirs}
+                for mine, theirs in zip(sets, f.sets)]
+    return lf.CacheFact(False, tuple(sets))
+
+
+def _cache_transfer(stmts, in_fact, assoc=3):
+    if in_fact.unreached:
+        return lf.CacheFact(unreached=True, sets=())
+    sets = [dict(s) for s in in_fact.sets]
+    for s in stmts:
+        if isinstance(s, lf.AccessStmt):
+            cache_set = sets[s.block % CACHE_SETS]
+            old_age = cache_set.get(s.block)
+            if old_age is not None:
+                after = {b: age + 1 if age < old_age else age for b, age in cache_set.items()}
+            else:
+                after = {b: age + 1 for b, age in cache_set.items() if age + 1 < assoc}
+            after[s.block] = 0
+            sets[s.block % CACHE_SETS] = after
+    return lf.CacheFact(False, tuple(sets))
+
+
+REFERENCE = {
+    "rd": (_rd_merge, _rd_transfer, (lf.DefStmt,)),
+    "cp": (_cp_merge, _cp_transfer, (lf.AssignConst, lf.AssignBinOp)),
+    "cache": (_cache_merge, _cache_transfer, (lf.AccessStmt,)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kernels_agree_with_references_and_return_what_they_promise(kind, data):
+    make, facts_strategy = KINDS[kind]
+    ref_merge, ref_transfer, acting = REFERENCE[kind]
+    analysis = make()
+    f, h = data.draw(facts_strategy), data.draw(facts_strategy)
+    stmts = data.draw(STMTS)
+    preds = data.draw(st.lists(st.sampled_from([f, h, analysis.initial()]), max_size=4))
+
+    assert analysis.merge(preds, h) == ref_merge(preds, h)
+    out = analysis.transfer(stmts, f)
+    assert out == ref_transfer(stmts, f)
+
+    assert analysis.merge([], f) is f
+    if f != analysis.initial():  # an operand equal to old_in leaves old_in
+        assert analysis.merge([f], analysis.initial()) is f
+    if not any(isinstance(s, acting) for s in stmts) or (kind == "cache" and f.unreached):
+        assert out is f
+    # g is built from f, so it subsumes f: the fold of g into f is g itself.
+    g = analysis.merge([h], f)
+    assert analysis.merge([g], f) is g
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -240,9 +240,28 @@ def test_consecutive_identical_facts_are_encoded_once(monkeypatch):
     store = lf.FactStore(analysis)
     # 1: IN is its OUT; 2: IN is 1's OUT; 3: an equal but distinct object.
     store.batch_put({1: a, 2: a, 3: _rd(("d2", "x"))}, {1: a, 2: b, 3: b})
-    assert encoded == [a, b, _rd(("d2", "x")), b]
+    assert encoded == [a, b, _rd(("d2", "x"))]
     snap = store.snapshot()
     assert snap[1] == (snap[2][0], snap[2][0]) and snap[2][1] == snap[3][0] == snap[3][1]
+
+
+def test_shared_facts_far_apart_are_encoded_once(monkeypatch):
+    analysis = lf.reaching_defs()
+    encoded = []
+    real = type(analysis).encode
+    monkeypatch.setattr(type(analysis), "encode",
+                        lambda self, fact: encoded.append(fact) or real(self, fact))
+    a, b, c = _rd(("d1", "x")), _rd(("d2", "x")), _rd(("d3", "y"))
+    # a and b come back after other objects, in both slots, never adjacent.
+    in_facts = {1: a, 2: b, 3: c, 4: a, 5: b}
+    out_facts = {1: c, 2: a, 3: b, 4: c, 5: a}
+    store = lf.FactStore(analysis)
+    store.batch_put(in_facts, out_facts)
+    assert encoded == [a, c, b]
+    fresh = lf.FactStore(analysis)
+    fresh.batch_put({v: _rd(*f.defs) for v, f in in_facts.items()},
+                    {v: _rd(*f.defs) for v, f in out_facts.items()})
+    assert store.snapshot() == fresh.snapshot()
 
 
 def _two_vertex_store(tmp_path):

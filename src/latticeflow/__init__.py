@@ -30,10 +30,8 @@ from .cfg import (
     VertexId,
     added_edges,
     added_vertices,
-    apply_changes,
     deleted_vertices,
     diff_graphs,
-    parse_changes,
     parse_changes_for_new,
     parse_graph,
     render_changes,
@@ -69,8 +67,6 @@ from .incremental import (
     build_impact,
     run_incremental_naive,
     run_incremental_optimized,
-    seed_affected,
-    seed_affected_by_kind,
     transitive_closure,
 )
 from .lattice import Analysis, Direction, Fact

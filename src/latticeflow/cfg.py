@@ -20,8 +20,9 @@ destroyed, or rewritten:
     CHANGE_SOURCE_NODE   vertex u's payload replaced (u has successors)
     CHANGE_DEST_NODE     vertex v's payload replaced (v has no successors)
 
-``diff_graphs`` and ``parse_changes`` both normalize through the same
-classifier, so a rendered change file round-trips to the identical batch.
+``diff_graphs`` and ``parse_changes_for_new`` both normalize through the
+same classifier, so a rendered change file read back against the updated
+graph round-trips to the identical batch.
 Node deletion decomposes into one atomic change per surviving incident
 edge so that downstream impact analysis sees each affected neighbor.
 """
@@ -215,9 +216,6 @@ class ChangeKind(Enum):
     CHANGE_DEST_NODE = "change-dest-node"
 
 
-_ADD_KINDS = {ChangeKind.ADD_EDGE, ChangeKind.ADD_SOURCE_NODE, ChangeKind.ADD_DEST_NODE}
-_DELETE_KINDS = {ChangeKind.DELETE_EDGE, ChangeKind.DELETE_SOURCE_NODE,
-                 ChangeKind.DELETE_DEST_NODE}
 _CHANGE_KINDS = {ChangeKind.CHANGE_SOURCE_NODE, ChangeKind.CHANGE_DEST_NODE}
 
 
@@ -281,7 +279,9 @@ def _classify_edits(old: SuperGraph | _OldFromNew, raw: _RawEdits) -> ChangeBatc
     Order is deletions, then payload changes, then additions; within the
     additions each new vertex is created before any edge that needs it.
     Of the old version it reads only vertex and edge membership and the
-    sorted neighbours of deleted and changed vertices.
+    sorted neighbours of deleted and changed vertices. Both callers hand it
+    edits that agree with the updated version, so only two conflicts
+    remain: a deleted edge or a changed vertex that the old version lacks.
     """
     def surviving(x: VertexId) -> bool:
         return x in old and x not in raw.deleted_nodes
@@ -291,13 +291,8 @@ def _classify_edits(old: SuperGraph | _OldFromNew, raw: _RawEdits) -> ChangeBatc
     for (u, v) in sorted(raw.deleted_edges):
         if not old.has_edge(u, v):
             raise ChangeConflictError(f"cannot delete missing edge ({u}, {v})")
-        if not surviving(u) or not surviving(v):
-            raise ChangeConflictError(
-                f"edge ({u}, {v}) is already removed by a node deletion")
         batch.append(AtomicChange(ChangeKind.DELETE_EDGE, u=u, v=v))
     for x in sorted(raw.deleted_nodes):
-        if x not in old:
-            raise ChangeConflictError(f"cannot delete unknown vertex {x}")
         emitted = False
         for s in old.succs(x):
             if surviving(s):
@@ -313,8 +308,6 @@ def _classify_edits(old: SuperGraph | _OldFromNew, raw: _RawEdits) -> ChangeBatc
     for x in sorted(raw.changed_nodes):
         if x not in old:
             raise ChangeConflictError(f"cannot change unknown vertex {x}")
-        if x in raw.deleted_nodes:
-            raise ChangeConflictError(f"vertex {x} is both deleted and changed")
         payload = raw.changed_nodes[x]
         kind = ChangeKind.CHANGE_SOURCE_NODE if old.succs(x) else ChangeKind.CHANGE_DEST_NODE
         field = {"u": x} if kind is ChangeKind.CHANGE_SOURCE_NODE else {"v": x}
@@ -327,8 +320,6 @@ def _classify_edits(old: SuperGraph | _OldFromNew, raw: _RawEdits) -> ChangeBatc
         return surviving(w) or w in created
 
     for x in sorted(raw.added_nodes):
-        if x in old:
-            raise ChangeConflictError(f"vertex id {x} already exists")
         payload = raw.added_nodes[x]
         in_avail = sorted(w for (w, y) in raw.added_edges if y == x and available(w))
         out_avail = sorted(w for (y, w) in raw.added_edges if y == x and available(w))
@@ -345,10 +336,6 @@ def _classify_edits(old: SuperGraph | _OldFromNew, raw: _RawEdits) -> ChangeBatc
                                       payload=payload))
         created.add(x)
     for (u, v) in sorted(raw.added_edges - consumed):
-        for endpoint in (u, v):
-            if not available(endpoint):
-                raise ChangeConflictError(
-                    f"added edge ({u}, {v}) references unknown vertex {endpoint}")
         batch.append(AtomicChange(ChangeKind.ADD_EDGE, u=u, v=v))
 
     return tuple(batch)
@@ -384,152 +371,8 @@ def diff_graphs(old: SuperGraph, new: SuperGraph) -> ChangeBatch:
     return _classify_edits(old, raw)
 
 
-def apply_changes(g: SuperGraph, batch: ChangeBatch) -> SuperGraph:
-    """Apply a change batch, validating each edit's applicability.
-
-    Deletions are applied first (deleted vertices take all incident edges
-    with them), then payload changes, then additions in batch order. A
-    deleted vertex id cannot be re-added within the same batch.
-    """
-    vertices = dict(g.vertices)
-    edges = set(g.edges)
-
-    marks: set[VertexId] = set()
-    edge_dels: list[tuple[VertexId, VertexId]] = []
-    for c in batch:
-        if c.kind is ChangeKind.DELETE_EDGE:
-            edge_dels.append((c.u, c.v))
-        elif c.kind is ChangeKind.DELETE_SOURCE_NODE:
-            if c.u not in vertices:
-                raise ChangeConflictError(f"cannot delete unknown vertex {c.u}")
-            if c.v is not None and (c.u, c.v) not in edges:
-                raise ChangeConflictError(f"deleted vertex {c.u} has no edge to {c.v}")
-            marks.add(c.u)
-        elif c.kind is ChangeKind.DELETE_DEST_NODE:
-            if c.v not in vertices:
-                raise ChangeConflictError(f"cannot delete unknown vertex {c.v}")
-            if c.u is not None and (c.u, c.v) not in edges:
-                raise ChangeConflictError(f"deleted vertex {c.v} has no edge from {c.u}")
-            marks.add(c.v)
-    for (u, v) in edge_dels:
-        if u in marks or v in marks:
-            raise ChangeConflictError(
-                f"edge ({u}, {v}) is already removed by a node deletion")
-        if (u, v) not in edges:
-            raise ChangeConflictError(f"cannot delete missing edge ({u}, {v})")
-        edges.remove((u, v))
-    for x in marks:
-        del vertices[x]
-    edges = {(u, v) for (u, v) in edges if u not in marks and v not in marks}
-
-    for c in batch:
-        if c.kind not in _CHANGE_KINDS:
-            continue
-        x = c.u if c.kind is ChangeKind.CHANGE_SOURCE_NODE else c.v
-        if x not in vertices:
-            raise ChangeConflictError(f"cannot change unknown vertex {x}")
-        if c.payload is None:
-            raise ChangeConflictError(f"node change for {x} carries no payload")
-        vertices[x] = c.payload
-
-    for c in batch:
-        if c.kind not in _ADD_KINDS:
-            continue
-        if c.kind is ChangeKind.ADD_EDGE:
-            _require_vertex(vertices, c.u)
-            _require_vertex(vertices, c.v)
-            _add_edge(edges, c.u, c.v)
-        elif c.kind is ChangeKind.ADD_SOURCE_NODE:
-            _add_vertex(vertices, marks, c.u, c.payload)
-            _require_vertex(vertices, c.v)
-            _add_edge(edges, c.u, c.v)
-        elif c.kind is ChangeKind.ADD_DEST_NODE:
-            _add_vertex(vertices, marks, c.v, c.payload)
-            if c.u is not None:
-                _require_vertex(vertices, c.u)
-                _add_edge(edges, c.u, c.v)
-
-    return SuperGraph(vertices, edges)
-
-
-def _require_vertex(vertices: dict, vid: VertexId | None) -> None:
-    if vid not in vertices:
-        raise ChangeConflictError(f"change references unknown vertex {vid}")
-
-
-def _add_vertex(vertices: dict, marks: set, vid: VertexId | None,
-                payload: VertexAttribute | None) -> None:
-    if vid is None or payload is None:
-        raise ChangeConflictError("node addition needs an id and a payload")
-    if vid in marks:
-        raise ChangeConflictError(f"vertex id {vid} was deleted in this batch")
-    if vid in vertices:
-        raise ChangeConflictError(f"vertex id {vid} already exists")
-    vertices[vid] = payload
-
-
-def _add_edge(edges: set, u: VertexId, v: VertexId) -> None:
-    if (u, v) in edges:
-        raise ChangeConflictError(f"edge ({u}, {v}) already exists")
-    edges.add((u, v))
-
-
 # ---------------------------------------------------------------------------
 # Change file format
-
-
-def _collect_change_lines(text: str) -> tuple[_RawEdits, set[tuple[VertexId, VertexId]]]:
-    raw = _RawEdits(deleted_nodes=set(), deleted_edges=set(), changed_nodes={},
-                    added_nodes={}, added_edges=set())
-    for lineno, line_text in enumerate(text.splitlines(), start=1):
-        line = line_text.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "AE":
-            if len(tokens) != 3:
-                raise GraphParseError("AE line needs a source and a destination", lineno)
-            raw.added_edges.add((_parse_vertex_id(tokens[1], lineno),
-                                 _parse_vertex_id(tokens[2], lineno)))
-        elif kind == "DE":
-            if len(tokens) != 3:
-                raise GraphParseError("DE line needs a source and a destination", lineno)
-            raw.deleted_edges.add((_parse_vertex_id(tokens[1], lineno),
-                                   _parse_vertex_id(tokens[2], lineno)))
-        elif kind == "DN":
-            if len(tokens) != 2:
-                raise GraphParseError("DN line needs exactly a vertex id", lineno)
-            raw.deleted_nodes.add(_parse_vertex_id(tokens[1], lineno))
-        elif kind in ("AN", "CN"):
-            vid, attr = _parse_vertex_decl(tokens, lineno)
-            if kind == "AN":
-                if vid in raw.added_nodes:
-                    raise GraphParseError(f"duplicate AN for vertex {vid}", lineno)
-                raw.added_nodes[vid] = attr
-            else:
-                raw.changed_nodes[vid] = attr
-        else:
-            raise GraphParseError(f"unknown line kind {kind!r}", lineno)
-    # DE lines incident to a DN vertex record that node's removed edges;
-    # the classifier re-derives those from adjacency, so keep them separate.
-    all_deleted = set(raw.deleted_edges)
-    raw.deleted_edges = {(u, v) for (u, v) in raw.deleted_edges
-                         if u not in raw.deleted_nodes and v not in raw.deleted_nodes}
-    return raw, all_deleted
-
-
-def parse_changes(text: str, old: SuperGraph) -> ChangeBatch:
-    """Parse a change file against the graph it edits.
-
-    Lines: ``AE <u> <v>``, ``AN <id> [entry] <payload>``, ``DE <u> <v>``,
-    ``DN <id>``, ``CN <id> [entry] <payload>``. Edge additions incident to
-    an ``AN`` vertex are folded into that vertex's creating change; ``DE``
-    lines incident to a ``DN`` vertex document edges removed by the node
-    deletion.
-    """
-    raw, _ = _collect_change_lines(text)
-    return _classify_edits(old, raw)
 
 
 class _OldFromNew:
@@ -577,12 +420,59 @@ class _OldFromNew:
 def parse_changes_for_new(text: str, new: SuperGraph) -> ChangeBatch:
     """Parse a change file given only the *updated* graph.
 
-    Change files are self-contained enough to recover what the classifier
-    needs of the old version (see ``_OldFromNew``); only adjacency and
-    existence matter for classification, never an old payload.
+    Lines: ``AE <u> <v>``, ``AN <id> [entry] <payload>``, ``DE <u> <v>``,
+    ``DN <id>``, ``CN <id> [entry] <payload>``. Edge additions incident to
+    an ``AN`` vertex are folded into that vertex's creating change; ``DE``
+    lines incident to a ``DN`` vertex document edges removed by the node
+    deletion. Every line must agree with ``new``: a ``DN`` vertex and a
+    ``DE`` edge are absent from it, an ``AE`` edge is present, and an
+    ``AN`` or ``CN`` vertex is present with exactly that payload and entry
+    flag. The file is then self-contained enough to recover what the
+    classifier needs of the old version (see ``_OldFromNew``); only
+    adjacency and existence matter for classification, never an old payload.
     """
-    raw, all_deleted_edges = _collect_change_lines(text)
-    return _classify_edits(_OldFromNew(new, raw, all_deleted_edges), raw)
+    raw = _RawEdits(deleted_nodes=set(), deleted_edges=set(), changed_nodes={},
+                    added_nodes={}, added_edges=set())
+    for lineno, line_text in enumerate(text.splitlines(), start=1):
+        line = line_text.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind in ("AE", "DE"):
+            if len(tokens) != 3:
+                raise GraphParseError(f"{kind} line needs a source and a destination", lineno)
+            u, v = _parse_vertex_id(tokens[1], lineno), _parse_vertex_id(tokens[2], lineno)
+            if new.has_edge(u, v) != (kind == "AE"):
+                where = "not in" if kind == "AE" else "still in"
+                raise GraphParseError(f"edge ({u}, {v}) is {where} the updated CFG", lineno)
+            (raw.added_edges if kind == "AE" else raw.deleted_edges).add((u, v))
+        elif kind == "DN":
+            if len(tokens) != 2:
+                raise GraphParseError("DN line needs exactly a vertex id", lineno)
+            vid = _parse_vertex_id(tokens[1], lineno)
+            if vid in new:
+                raise GraphParseError(f"vertex {vid} is still in the updated CFG", lineno)
+            raw.deleted_nodes.add(vid)
+        elif kind in ("AN", "CN"):
+            vid, attr = _parse_vertex_decl(tokens, lineno)
+            nodes = raw.added_nodes if kind == "AN" else raw.changed_nodes
+            if vid in nodes:
+                raise GraphParseError(f"duplicate {kind} for vertex {vid}", lineno)
+            if vid not in new:
+                raise GraphParseError(f"vertex {vid} is not in the updated CFG", lineno)
+            if new.vertices[vid] != attr:
+                raise GraphParseError(
+                    f"vertex {vid} has another payload in the updated CFG", lineno)
+            nodes[vid] = attr
+        else:
+            raise GraphParseError(f"unknown line kind {kind!r}", lineno)
+    # DE lines incident to a DN vertex record that node's removed edges;
+    # the classifier re-derives those from adjacency, so keep them separate.
+    all_deleted = set(raw.deleted_edges)
+    raw.deleted_edges = {(u, v) for (u, v) in raw.deleted_edges
+                         if u not in raw.deleted_nodes and v not in raw.deleted_nodes}
+    return _classify_edits(_OldFromNew(new, raw, all_deleted), raw)
 
 
 def render_changes(batch: ChangeBatch) -> str:

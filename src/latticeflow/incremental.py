@@ -125,19 +125,6 @@ def _seeds(batch: ChangeBatch) -> Iterator[tuple[VertexId, int]]:
                 yield k, bit
 
 
-def seed_affected(batch: ChangeBatch) -> set[VertexId]:
-    """Directly affected vertices, before transitive closure."""
-    return {k for k, _ in _seeds(batch)}
-
-
-def seed_affected_by_kind(batch: ChangeBatch) -> tuple[set[VertexId], set[VertexId], set[VertexId]]:
-    """Directly affected vertices split into addition/deletion/change seeds."""
-    buckets: dict[int, set[VertexId]] = {_ADD: set(), _DELETE: set(), _CHANGE: set()}
-    for k, bit in _seeds(batch):
-        buckets[bit].add(k)
-    return buckets[_ADD], buckets[_DELETE], buckets[_CHANGE]
-
-
 def _labeled_closure(seeds: Mapping[VertexId, int], g: SuperGraph) -> dict[VertexId, int]:
     """Propagate seed labels to all successors, one frontier per superstep."""
     labels = dict(seeds)

@@ -52,13 +52,6 @@ class FactStore:
         self._entries: Entries = _entries or {}
 
     @classmethod
-    def create(cls, path: str | Path, analysis: Analysis) -> "FactStore":
-        """Create (or overwrite) a file-backed store."""
-        store = cls(analysis, path)
-        store._commit(store._entries)
-        return store
-
-    @classmethod
     def open(cls, path: str | Path, analysis: Analysis) -> "FactStore":
         """Open an existing file-backed store; fingerprints must match."""
         entries, fingerprint = _read_snapshot(Path(path))

@@ -52,6 +52,13 @@ def join_store(header: bytes, records: list[tuple[int, int, bytes]]) -> bytes:
                              for vertex, code, payload in records)
 
 
+def new_store(path: Path, analysis: lf.Analysis) -> lf.FactStore:
+    """A file-backed store of no vertices, committed as a header-only file."""
+    store = lf.FactStore(analysis, path)
+    store.batch_put({}, {})
+    return store
+
+
 # ---------------------------------------------------------------------------
 # Random graphs and edits
 
@@ -136,6 +143,21 @@ def random_edit(rng: random.Random, old: lf.SuperGraph,
         if new.entries:
             return new
     raise AssertionError("could not generate a valid edited graph")
+
+
+def apply_batch(g: lf.SuperGraph, batch: lf.ChangeBatch) -> lf.SuperGraph:
+    """``g`` with ``batch`` applied, trusting the batch: deleted vertices
+    take their edges with them, changed and added vertices take their
+    payloads, and added edges join. Validates nothing."""
+    gone = lf.deleted_vertices(batch)
+    vertices = {vid: attr for vid, attr in g.vertices.items() if vid not in gone}
+    for c in batch:
+        if c.payload is not None:
+            source = c.kind in (lf.ChangeKind.ADD_SOURCE_NODE, lf.ChangeKind.CHANGE_SOURCE_NODE)
+            vertices[c.u if source else c.v] = c.payload
+    dropped = {(c.u, c.v) for c in batch if c.kind is lf.ChangeKind.DELETE_EDGE}
+    edges = {(u, v) for (u, v) in g.edges - dropped if u not in gone and v not in gone}
+    return lf.SuperGraph(vertices, edges | lf.added_edges(batch))
 
 
 def all_solvers(g: lf.SuperGraph, analysis: lf.Analysis, seed: int = 7):

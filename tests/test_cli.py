@@ -293,6 +293,26 @@ def test_incremental_on_non_utf8_fingerprint_exits_2(capsys, tmp_path):
     assert "not UTF-8" in err
 
 
+# Lines appended to incr_demo.changes, each contradicting incr_demo_new.cfg,
+# and the error each must name.
+_CONTRADICTIONS = {
+    # Vertex 6 is still in the updated program: accepting this would purge
+    # its facts and leave a store the next update refuses.
+    "dn-vertex-present": ("DN 6\nDE 5 6\nDE 6 7\n",
+                          "line 5: vertex 6 is still in the updated CFG"),
+    "an-vertex-absent": ("AN 9 use x\n", "line 5: vertex 9 is not in the updated CFG"),
+    "an-other-payload": ("AN 3 use c\n",
+                         "line 5: vertex 3 has another payload in the updated CFG"),
+    "cn-other-payload": ("CN 4 use b\n",
+                         "line 5: vertex 4 has another payload in the updated CFG"),
+    "cn-other-entry-flag": ("CN 3 entry def c d3\n",
+                            "line 5: vertex 3 has another payload in the updated CFG"),
+    "cn-twice": ("CN 5 def y d5\n", "line 5: duplicate CN for vertex 5"),
+    "ae-edge-absent": ("AE 3 8\n", "line 5: edge (3, 8) is not in the updated CFG"),
+    "de-edge-present": ("DE 3 4\n", "line 5: edge (3, 4) is still in the updated CFG"),
+}
+
+
 @pytest.mark.parametrize("argv,named", [
     (("analyze", "--cfg", "{latin1}", "--analysis", "rd", "--store", "{out}"), "latin1.cfg"),
     (("diff", "--old", "{cfg}", "--new", "{latin1}", "--out", "{out}"), "latin1.cfg"),
@@ -317,10 +337,14 @@ def test_incremental_on_non_utf8_fingerprint_exits_2(capsys, tmp_path):
       "--report", "{missing}/r.json"), "r.json"),
     (("incremental", "--cfg", "{demo_new}", "--changes", "{demo_changes}",
       "--store", "{demo_store}", "--report", "{missing}/r.json"), "r.json"),
+    # incr_demo.changes (four lines) plus a line that contradicts the
+    # updated program it is read against; see _CONTRADICTIONS.
+    *((("incremental", "--cfg", "{demo_new}", "--changes", f"{{{name}}}",
+        "--store", "{demo_store}"), named) for name, (_, named) in _CONTRADICTIONS.items()),
 ], ids=["cfg-not-utf8", "diff-cfg-not-utf8", "changes-not-utf8", "vertex-id-2**64",
         "sets-past-bound", "store-of-another-program", "update-without-entries",
         "store-geometry-too-long", "analyze-report-unwritable",
-        "incremental-report-unwritable"])
+        "incremental-report-unwritable", *_CONTRADICTIONS])
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
     store, _ = _analyze(capsys, tmp_path, "diamond_rd.cfg", "rd")
     chain_store, _ = _analyze(capsys, tmp_path, "chain10.cfg", "rd")
@@ -346,6 +370,9 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
     latin1.write_bytes(b"V 1 entry def x d\xff\n")
     big_id = tmp_path / "big_id.cfg"
     big_id.write_text(f"V {2 ** 64} entry def x d\n")
+    demo_changes = fixture_path("incr_demo.changes").read_text()
+    for name, (lines, _) in _CONTRADICTIONS.items():
+        (tmp_path / f"{name}.changes").write_text(demo_changes + lines)
     out = tmp_path / "out"
     paths = {"latin1": latin1, "big_id": big_id, "out": out, "store": store,
              "chain_store": chain_store, "cfg": fixture_path("diamond_rd.cfg"),
@@ -353,7 +380,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
              "demo_changes": fixture_path("incr_demo.changes"), "no_entry": no_entry,
              "no_entry_changes": no_entry_changes, "entry_store": entry_store,
              "demo_store": demo_store, "long_geometry_store": long_geometry_store,
-             "missing": tmp_path / "missing"}
+             "missing": tmp_path / "missing",
+             **{name: tmp_path / f"{name}.changes" for name in _CONTRADICTIONS}}
     code, stdout, err = _run(capsys, *(a.format(**paths) for a in argv))
     assert code == cli.EXIT_USAGE
     assert stdout == ""

@@ -13,9 +13,9 @@ import pytest
 
 import latticeflow as lf
 from latticeflow import cli
-from latticeflow.cfg import _ADD_KINDS, _CHANGE_KINDS, _DELETE_KINDS, ChangeKind
+from latticeflow.cfg import ChangeKind
 from latticeflow.incremental import build_impact
-from support import load_fixture, random_edit, random_graph
+from support import load_fixture, new_store, random_edit, random_graph
 
 ANALYSES = [lf.reaching_defs, lf.const_prop, lf.lru_must_cache]
 
@@ -41,19 +41,35 @@ def _scratch_snapshot(graph, analysis):
 # Seeds and closure
 
 
+def _seeded(batch, vertices):
+    """The affected sets of ``batch`` on a graph of ``vertices`` without
+    edges, where the closure adds nothing: all of them, and those seeded
+    by additions, deletions and changes."""
+    edgeless = lf.SuperGraph({vid: lf.VertexAttribute(()) for vid in vertices}, ())
+    impact = build_impact(batch, edgeless, per_kind=True)
+    return impact.affected_all, (impact.affected_add, impact.affected_delete,
+                                 impact.affected_change)
+
+
 def test_seed_affected_worked_example():
-    _, _, batch = _example()
-    assert lf.seed_affected(batch) == {4, 5, 7}
+    _, new, batch = _example()
+    assert _seeded(batch, new.vertices)[0] == {4, 5, 7}
 
 
 def test_seed_affected_empty_batch():
-    assert lf.seed_affected(()) == set()
+    assert _seeded((), (1, 2)) == (set(), (set(), set(), set()))
 
 
 def test_seed_affected_by_kind_worked_example():
-    _, _, batch = _example()
-    add, delete, change = lf.seed_affected_by_kind(batch)
-    assert (add, delete, change) == ({4}, {7}, {5})
+    _, new, batch = _example()
+    assert _seeded(batch, new.vertices)[1] == ({4}, {7}, {5})
+
+
+_CATEGORIES = (
+    {ChangeKind.ADD_EDGE, ChangeKind.ADD_SOURCE_NODE, ChangeKind.ADD_DEST_NODE},
+    {ChangeKind.DELETE_EDGE, ChangeKind.DELETE_SOURCE_NODE, ChangeKind.DELETE_DEST_NODE},
+    {ChangeKind.CHANGE_SOURCE_NODE, ChangeKind.CHANGE_DEST_NODE},
+)
 
 
 @pytest.mark.parametrize("kind,seeded", [
@@ -67,16 +83,14 @@ def test_seed_affected_by_kind_worked_example():
     (ChangeKind.CHANGE_DEST_NODE, {2}),
 ])
 def test_each_change_kind_seeds_its_category(kind, seeded):
-    categories = (_ADD_KINDS, _DELETE_KINDS, _CHANGE_KINDS)
     batch = (lf.AtomicChange(kind, u=1, v=2),)
-    assert lf.seed_affected(batch) == seeded
-    assert lf.seed_affected_by_kind(batch) == tuple(
-        seeded if kind in kinds else set() for kinds in categories)
+    assert _seeded(batch, (1, 2)) == (
+        seeded, tuple(seeded if kind in kinds else set() for kinds in _CATEGORIES))
 
 
 def test_deleted_source_node_without_successor_seeds_nothing():
     batch = (lf.AtomicChange(ChangeKind.DELETE_SOURCE_NODE, u=1, v=None),)
-    assert lf.seed_affected(batch) == set()
+    assert _seeded(batch, (1, 2))[0] == set()
 
 
 def test_transitive_closure_worked_example():
@@ -391,7 +405,7 @@ def test_store_of_another_program_is_refused_before_anything_is_written(tmp_path
         batch = lf.diff_graphs(new, new)
     analysis = lf.reaching_defs()
     path = tmp_path / "chain10.store"
-    store = lf.FactStore.create(path, analysis)
+    store = new_store(path, analysis)
     result = lf.run_optimized(load_fixture("chain10.cfg"), analysis)
     store.batch_put(result.in_facts, result.out_facts)
     blob = path.read_bytes()
@@ -460,7 +474,7 @@ def test_incremental_run_commits_the_store_once(tmp_path, monkeypatch):
     old, new, batch = _example()
     analysis = lf.reaching_defs()
     path = tmp_path / "facts.store"
-    store = lf.FactStore.create(path, analysis)
+    store = new_store(path, analysis)
     result = lf.run_optimized(old, analysis)
     store.batch_put(result.in_facts, result.out_facts)
     commits = []
@@ -470,7 +484,7 @@ def test_incremental_run_commits_the_store_once(tmp_path, monkeypatch):
     run = lf.run_incremental_optimized(new, batch, store, analysis)
     assert run.purged == {2}
     assert len(commits) == 1
-    fresh = lf.FactStore.create(tmp_path / "fresh.store", analysis)
+    fresh = new_store(tmp_path / "fresh.store", analysis)
     scratch = lf.run_optimized(new, analysis)
     fresh.batch_put(scratch.in_facts, scratch.out_facts)
     assert path.read_bytes() == (tmp_path / "fresh.store").read_bytes()

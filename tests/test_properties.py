@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticeflow as lf
+from support import new_store
 
 ANALYSES = [lf.reaching_defs, lf.const_prop, lambda: lf.lru_must_cache(sets=2, assoc=2)]
 
@@ -125,7 +126,7 @@ def edit_sequences(draw):
 
 
 def _analyze_to(path, graph, analysis, solver=lf.run_optimized):
-    store = lf.FactStore.create(path, analysis)
+    store = new_store(path, analysis)
     result = solver(graph, analysis)
     store.batch_put(result.in_facts, result.out_facts)
     return store

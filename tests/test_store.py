@@ -7,7 +7,7 @@ import pytest
 
 import latticeflow as lf
 from latticeflow import cli
-from support import fixture_path, join_store, random_rd_fact, split_store
+from support import fixture_path, join_store, new_store, random_rd_fact, split_store
 
 # The benchmark's independent store reader, imported the way bench/test_checks.py does.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -85,7 +85,7 @@ def test_purge():
 def test_file_round_trip(tmp_path):
     path = tmp_path / "facts.store"
     analysis = lf.reaching_defs()
-    store = lf.FactStore.create(path, analysis)
+    store = new_store(path, analysis)
     pair = (_rd(("d1", "x")), _rd(("d1", "x"), ("d2", "y")))
     _put(store, {3: pair})
     reopened = lf.FactStore.open(path, lf.reaching_defs())
@@ -95,7 +95,7 @@ def test_file_round_trip(tmp_path):
 
 def test_fingerprint_mismatch(tmp_path):
     path = tmp_path / "facts.store"
-    lf.FactStore.create(path, lf.reaching_defs())
+    new_store(path, lf.reaching_defs())
     with pytest.raises(lf.WrongAnalysisError):
         lf.FactStore.open(path, lf.const_prop())
     with pytest.raises(lf.WrongAnalysisError):
@@ -105,14 +105,14 @@ def test_fingerprint_mismatch(tmp_path):
 def test_read_fingerprint(tmp_path):
     path = tmp_path / "facts.store"
     analysis = lf.lru_must_cache(sets=4, assoc=2)
-    lf.FactStore.create(path, analysis)
+    new_store(path, analysis)
     assert lf.FactStore.read_fingerprint(path) == analysis.fingerprint()
 
 
 def test_read_fingerprint_reads_only_the_header(tmp_path):
     path = tmp_path / "facts.store"
     analysis = lf.reaching_defs()
-    store = lf.FactStore.create(path, analysis)
+    store = new_store(path, analysis)
     _put(store, {1: (_rd(), _rd(("d1", "x")))})
     path.write_bytes(path.read_bytes()[:-1])  # cut into the last record
     assert lf.FactStore.read_fingerprint(path) == analysis.fingerprint()
@@ -131,7 +131,7 @@ def test_decode_error_carries_key():
 
 def test_interrupted_batch_put_preserves_previous_snapshot(tmp_path, monkeypatch):
     path = tmp_path / "facts.store"
-    store = lf.FactStore.create(path, lf.reaching_defs())
+    store = new_store(path, lf.reaching_defs())
     _put(store, {1: (_rd(), _rd(("d1", "x")))})
     good_bytes = path.read_bytes()
 
@@ -154,9 +154,9 @@ def test_snapshot_bytes_are_canonical(tmp_path):
     analysis = lf.reaching_defs()
     facts = {i: (_rd((f"d{i}", "x")), _rd((f"d{i}", "y"))) for i in range(10)}
     a_path, b_path = tmp_path / "a.store", tmp_path / "b.store"
-    a = lf.FactStore.create(a_path, analysis)
+    a = new_store(a_path, analysis)
     _put(a, facts)
-    b = lf.FactStore.create(b_path, analysis)
+    b = new_store(b_path, analysis)
     backwards = dict(reversed(facts.items()))
     _put(b, {v: pair for v, pair in backwards.items() if v % 2})
     _put(b, {v: pair for v, pair in backwards.items() if not v % 2})
@@ -167,9 +167,9 @@ def test_batch_put_with_purge_is_one_commit(tmp_path, monkeypatch):
     analysis = lf.reaching_defs()
     facts = {i: (_rd((f"d{i}", "x")), _rd((f"d{i}", "y"))) for i in range(6)}
     a_path, b_path = tmp_path / "a.store", tmp_path / "b.store"
-    a = lf.FactStore.create(a_path, analysis)
+    a = new_store(a_path, analysis)
     _put(a, facts)
-    b = lf.FactStore.create(b_path, analysis)
+    b = new_store(b_path, analysis)
     _put(b, facts)
     update = {1: (_rd(), _rd(("d9", "y"))), 4: (_rd(("d8", "z")), _rd())}
     _put(a, update)
@@ -188,7 +188,7 @@ def test_batch_put_with_purge_is_one_commit(tmp_path, monkeypatch):
 def test_equal_payloads_decode_to_one_object(tmp_path):
     path = tmp_path / "facts.store"
     analysis = lf.reaching_defs()
-    store = lf.FactStore.create(path, analysis)
+    store = new_store(path, analysis)
     _put(store, {1: (_rd(("d1", "x")), _rd(("d1", "x"))),
                  2: (_rd(("d1", "x")), _rd(("d2", "y")))})
     reopened = lf.FactStore.open(path, analysis)  # each record its own bytes
@@ -224,8 +224,8 @@ def test_shared_fact_objects_write_the_bytes_of_distinct_ones(tmp_path):
         return ({v: chosen[v, 0] for v in range(8)}, {v: chosen[v, 1] for v in range(8)})
 
     a_path, b_path = tmp_path / "a.store", tmp_path / "b.store"
-    lf.FactStore.create(a_path, analysis).batch_put(*facts(lambda: shared))
-    lf.FactStore.create(b_path, analysis).batch_put(
+    new_store(a_path, analysis).batch_put(*facts(lambda: shared))
+    new_store(b_path, analysis).batch_put(
         *facts(lambda: lf.CacheFact(False, ({10: 0, 2: 1}, {}))))
     assert a_path.read_bytes() == b_path.read_bytes()
 
@@ -267,7 +267,7 @@ def test_shared_facts_far_apart_are_encoded_once(monkeypatch):
 def _two_vertex_store(tmp_path):
     path = tmp_path / "facts.store"
     analysis = lf.reaching_defs()
-    store = lf.FactStore.create(path, analysis)
+    store = new_store(path, analysis)
     _put(store, {1: (_rd(), _rd(("d1", "x"))), 2: (_rd(("d1", "x")), _rd(("d2", "x")))})
     return path, analysis
 

@@ -178,22 +178,30 @@ class ConstProp(Analysis):
 
     def transfer(self, stmts: Stmts, in_fact: ConstPropFact) -> ConstPropFact:
         _check_stmts(stmts)
-        if not any(isinstance(s, (AssignConst, AssignBinOp)) for s in stmts):
-            return in_fact
-        env = dict(in_fact.env)
+        env = in_fact.env  # copied at the first assignment that changes it
         for s in stmts:
             if isinstance(s, AssignConst):
-                env[s.var] = _wrap64(s.value)
+                val = _wrap64(s.value)
             elif isinstance(s, AssignBinOp):
                 left = env.get(s.left)
                 right = env.get(s.right)
                 if left is None or right is None:
-                    env.pop(s.var, None)  # bottom operand: result unknown-yet
+                    val = None  # bottom operand: result unknown-yet
                 elif left is TOP or right is TOP:
-                    env[s.var] = TOP
+                    val = TOP
                 else:
-                    env[s.var] = _wrap64(_eval_binop(s.op, left, right))
-        return ConstPropFact(env)
+                    val = _wrap64(_eval_binop(s.op, left, right))
+            else:
+                continue
+            if env.get(s.var) == val:
+                continue  # stores the value already held
+            if env is in_fact.env:
+                env = dict(env)
+            if val is None:
+                del env[s.var]
+            else:
+                env[s.var] = val
+        return in_fact if env is in_fact.env else ConstPropFact(env)
 
     def encode(self, fact: ConstPropFact) -> bytes:
         obj = {var: (None if val is TOP else val) for var, val in fact.env.items()}
@@ -304,18 +312,22 @@ class LruMustCache(Analysis):
         _check_stmts(stmts)
         if in_fact.unreached:
             return in_fact  # no path reaches here; nothing to model
-        accesses = [s.block for s in stmts if isinstance(s, AccessStmt)]
-        if not accesses:
-            return in_fact
-        sets = list(in_fact.sets)  # only the accessed sets are replaced
-        for block in accesses:
-            idx = block % self.sets
-            sets[idx] = self._access(sets[idx], block)
-        return CacheFact(False, tuple(sets))
+        sets = in_fact.sets  # only the sets an access changes are replaced
+        for s in stmts:
+            if isinstance(s, AccessStmt):
+                idx = s.block % self.sets
+                after = self._access(sets[idx], s.block)
+                if after is not sets[idx]:
+                    sets = (*sets[:idx], after, *sets[idx + 1:])
+        return in_fact if sets is in_fact.sets else CacheFact(False, sets)
 
     def _access(self, cache_set: dict[int, int], block: int) -> dict[int, int]:
-        """The set after accessing ``block``, as a new dict."""
+        """The set after accessing ``block``: a new dict, or ``cache_set``
+        itself for a hit on its youngest block, the one access that changes
+        nothing."""
         old_age = cache_set.get(block)
+        if old_age == 0:
+            return cache_set
         if old_age is not None:
             # Hit: only blocks younger than the accessed one grow older.
             after = {b: age + 1 if age < old_age else age

@@ -22,7 +22,8 @@ destroyed, or rewritten:
 
 ``diff_graphs`` and ``parse_changes_for_new`` both normalize through the
 same classifier, so a rendered change file read back against the updated
-graph round-trips to the identical batch.
+graph round-trips to the identical batch. The classifier reads only the
+updated graph and the edits, never the old graph.
 Node deletion decomposes into one atomic change per surviving incident
 edge so that downstream impact analysis sees each affected neighbor.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     ChangeConflictError,
@@ -123,11 +124,7 @@ def parse_graph(text: str) -> SuperGraph:
     """
     vertices: dict[VertexId, VertexAttribute] = {}
     edge_lines: list[tuple[int, VertexId, VertexId]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _tokenized_lines(text):
         kind = tokens[0]
         if kind == "V":
             vid, attr = _parse_vertex_decl(tokens, lineno)
@@ -148,6 +145,14 @@ def parse_graph(text: str) -> SuperGraph:
         if v not in vertices:
             raise UnknownVertexError(f"edge references unknown vertex {v}", lineno)
     return SuperGraph(vertices, {(u, v) for (_, u, v) in edge_lines})
+
+
+def _tokenized_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, tokens)`` of every line that holds more than a ``#`` comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
 def render_graph(g: SuperGraph) -> str:
@@ -264,76 +269,89 @@ def added_edges(batch: ChangeBatch) -> frozenset[tuple[VertexId, VertexId]]:
 
 @dataclass
 class _RawEdits:
-    """Unclassified edits between two versions."""
+    """Unclassified edits between two versions, each agreeing with the
+    updated one: deleted vertices and removed edges are absent from it,
+    changed and added vertices and added edges are present."""
 
     deleted_nodes: set[VertexId]
-    deleted_edges: set[tuple[VertexId, VertexId]]
+    deleted_edges: set[tuple[VertexId, VertexId]]  # with those of deleted nodes
     changed_nodes: dict[VertexId, VertexAttribute]
     added_nodes: dict[VertexId, VertexAttribute]
     added_edges: set[tuple[VertexId, VertexId]]
 
 
-def _classify_edits(old: SuperGraph | _OldFromNew, raw: _RawEdits) -> ChangeBatch:
+def _by_endpoint(edges: Iterable[tuple[VertexId, VertexId]],
+                 ) -> tuple[dict[VertexId, list[VertexId]], dict[VertexId, list[VertexId]]]:
+    """Each source's destinations and each destination's sources."""
+    out: dict[VertexId, list[VertexId]] = {}
+    into: dict[VertexId, list[VertexId]] = {}
+    for (u, v) in edges:
+        out.setdefault(u, []).append(v)
+        into.setdefault(v, []).append(u)
+    return out, into
+
+
+def _classify_edits(new: SuperGraph, raw: _RawEdits) -> ChangeBatch:
     """Normalize raw edits into the canonical atomic change sequence.
 
     Order is deletions, then payload changes, then additions; within the
     additions each new vertex is created before any edge that needs it.
-    Of the old version it reads only vertex and edge membership and the
-    sorted neighbours of deleted and changed vertices. Both callers hand it
-    edits that agree with the updated version, so only two conflicts
-    remain: a deleted edge or a changed vertex that the old version lacks.
+    Only the updated version is read: a vertex survives when it is in
+    ``new`` and was not added, a deleted vertex's surviving neighbours are
+    the other ends of its removed edges, and a changed vertex had
+    successors when a removed edge leaves it or a kept edge leads from it
+    to a surviving vertex. Two conflicts remain: a removed edge between
+    vertices that are not both deleted or surviving, and a changed vertex
+    that was added. Time is linear in the edits, up to sorting, plus the
+    out-degree of each changed vertex.
     """
     def surviving(x: VertexId) -> bool:
-        return x in old and x not in raw.deleted_nodes
+        return x in new and x not in raw.added_nodes
 
+    removed_out, removed_in = _by_endpoint(raw.deleted_edges)
+    added_out, added_in = _by_endpoint(raw.added_edges)
     batch: list[AtomicChange] = []
 
     for (u, v) in sorted(raw.deleted_edges):
-        if not old.has_edge(u, v):
+        if u in raw.deleted_nodes or v in raw.deleted_nodes:
+            continue  # removed with its node, below
+        if not (surviving(u) and surviving(v)):
             raise ChangeConflictError(f"cannot delete missing edge ({u}, {v})")
         batch.append(AtomicChange(ChangeKind.DELETE_EDGE, u=u, v=v))
     for x in sorted(raw.deleted_nodes):
-        emitted = False
-        for s in old.succs(x):
-            if surviving(s):
-                batch.append(AtomicChange(ChangeKind.DELETE_SOURCE_NODE, u=x, v=s))
-                emitted = True
-        for p in old.preds(x):
-            if surviving(p):
-                batch.append(AtomicChange(ChangeKind.DELETE_DEST_NODE, u=p, v=x))
-                emitted = True
-        if not emitted:
+        succs = sorted(s for s in removed_out.get(x, ()) if surviving(s))
+        preds = sorted(p for p in removed_in.get(x, ()) if surviving(p))
+        batch.extend(AtomicChange(ChangeKind.DELETE_SOURCE_NODE, u=x, v=s) for s in succs)
+        batch.extend(AtomicChange(ChangeKind.DELETE_DEST_NODE, u=p, v=x) for p in preds)
+        if not succs and not preds:
             batch.append(AtomicChange(ChangeKind.DELETE_DEST_NODE, u=None, v=x))
 
     for x in sorted(raw.changed_nodes):
-        if x not in old:
+        if x in raw.added_nodes:
             raise ChangeConflictError(f"cannot change unknown vertex {x}")
         payload = raw.changed_nodes[x]
-        kind = ChangeKind.CHANGE_SOURCE_NODE if old.succs(x) else ChangeKind.CHANGE_DEST_NODE
-        field = {"u": x} if kind is ChangeKind.CHANGE_SOURCE_NODE else {"v": x}
-        batch.append(AtomicChange(kind, payload=payload, **field))
+        if x in removed_out or any(surviving(s) and (x, s) not in raw.added_edges
+                                   for s in new.succs(x)):
+            batch.append(AtomicChange(ChangeKind.CHANGE_SOURCE_NODE, u=x, payload=payload))
+        else:
+            batch.append(AtomicChange(ChangeKind.CHANGE_DEST_NODE, v=x, payload=payload))
 
     consumed: set[tuple[VertexId, VertexId]] = set()
     created: set[VertexId] = set()
 
-    def available(w: VertexId) -> bool:
-        return surviving(w) or w in created
+    def first_available(ws: Iterable[VertexId]) -> VertexId | None:
+        return min((w for w in ws if surviving(w) or w in created), default=None)
 
     for x in sorted(raw.added_nodes):
         payload = raw.added_nodes[x]
-        in_avail = sorted(w for (w, y) in raw.added_edges if y == x and available(w))
-        out_avail = sorted(w for (y, w) in raw.added_edges if y == x and available(w))
-        if in_avail:
-            batch.append(AtomicChange(ChangeKind.ADD_DEST_NODE, u=in_avail[0], v=x,
-                                      payload=payload))
-            consumed.add((in_avail[0], x))
-        elif out_avail:
-            batch.append(AtomicChange(ChangeKind.ADD_SOURCE_NODE, u=x, v=out_avail[0],
-                                      payload=payload))
-            consumed.add((x, out_avail[0]))
+        if (u := first_available(added_in.get(x, ()))) is not None:
+            batch.append(AtomicChange(ChangeKind.ADD_DEST_NODE, u=u, v=x, payload=payload))
+            consumed.add((u, x))
+        elif (v := first_available(added_out.get(x, ()))) is not None:
+            batch.append(AtomicChange(ChangeKind.ADD_SOURCE_NODE, u=x, v=v, payload=payload))
+            consumed.add((x, v))
         else:
-            batch.append(AtomicChange(ChangeKind.ADD_DEST_NODE, u=None, v=x,
-                                      payload=payload))
+            batch.append(AtomicChange(ChangeKind.ADD_DEST_NODE, u=None, v=x, payload=payload))
         created.add(x)
     for (u, v) in sorted(raw.added_edges - consumed):
         batch.append(AtomicChange(ChangeKind.ADD_EDGE, u=u, v=v))
@@ -362,59 +380,16 @@ def diff_graphs(old: SuperGraph, new: SuperGraph) -> ChangeBatch:
             changed[x] = new.vertices[x]
     raw = _RawEdits(
         deleted_nodes=old_ids - new_ids,
-        deleted_edges={(u, v) for (u, v) in old.edges - new.edges
-                       if u in surviving and v in surviving},
+        deleted_edges=set(old.edges - new.edges),
         changed_nodes=changed,
         added_nodes={x: new.vertices[x] for x in new_ids - old_ids},
         added_edges=set(new.edges - old.edges),
     )
-    return _classify_edits(old, raw)
+    return _classify_edits(new, raw)
 
 
 # ---------------------------------------------------------------------------
 # Change file format
-
-
-class _OldFromNew:
-    """The old version's structure, answered from the updated graph and the
-    change lines without building the old graph.
-
-    Old vertices are the new ones minus additions plus deletions; old edges
-    are the new ones minus added edges plus every recorded ``DE`` edge,
-    each with both endpoints in the old version. Only the queries
-    ``_classify_edits`` makes are answered, each in time proportional to
-    the vertex's degree.
-    """
-
-    def __init__(self, new: SuperGraph, raw: _RawEdits,
-                 all_deleted_edges: set[tuple[VertexId, VertexId]]):
-        self._new = new
-        self._raw = raw
-        self._deleted_out: dict[VertexId, list[VertexId]] = {}
-        self._deleted_in: dict[VertexId, list[VertexId]] = {}
-        for (u, v) in all_deleted_edges:
-            self._deleted_out.setdefault(u, []).append(v)
-            self._deleted_in.setdefault(v, []).append(u)
-
-    def __contains__(self, vid: object) -> bool:
-        return ((vid in self._new and vid not in self._raw.added_nodes)
-                or vid in self._raw.deleted_nodes)
-
-    def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        if u not in self or v not in self:
-            return False
-        return (v in self._deleted_out.get(u, ())
-                or (self._new.has_edge(u, v) and (u, v) not in self._raw.added_edges))
-
-    def succs(self, vid: VertexId) -> tuple[VertexId, ...]:
-        kept = self._new.succs(vid) if vid in self._new else ()
-        recorded = self._deleted_out.get(vid, ())
-        return tuple(sorted({v for v in (*kept, *recorded) if self.has_edge(vid, v)}))
-
-    def preds(self, vid: VertexId) -> tuple[VertexId, ...]:
-        kept = self._new.preds(vid) if vid in self._new else ()
-        recorded = self._deleted_in.get(vid, ())
-        return tuple(sorted({u for u in (*kept, *recorded) if self.has_edge(u, vid)}))
 
 
 def parse_changes_for_new(text: str, new: SuperGraph) -> ChangeBatch:
@@ -427,17 +402,13 @@ def parse_changes_for_new(text: str, new: SuperGraph) -> ChangeBatch:
     deletion. Every line must agree with ``new``: a ``DN`` vertex and a
     ``DE`` edge are absent from it, an ``AE`` edge is present, and an
     ``AN`` or ``CN`` vertex is present with exactly that payload and entry
-    flag. The file is then self-contained enough to recover what the
-    classifier needs of the old version (see ``_OldFromNew``); only
-    adjacency and existence matter for classification, never an old payload.
+    flag. The classifier needs nothing else: it reads only ``new`` and the
+    lines, never an old payload. What it cannot see is a ``DE`` edge between
+    two surviving vertices that the old version lacked, or a line left out.
     """
     raw = _RawEdits(deleted_nodes=set(), deleted_edges=set(), changed_nodes={},
                     added_nodes={}, added_edges=set())
-    for lineno, line_text in enumerate(text.splitlines(), start=1):
-        line = line_text.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _tokenized_lines(text):
         kind = tokens[0]
         if kind in ("AE", "DE"):
             if len(tokens) != 3:
@@ -467,12 +438,7 @@ def parse_changes_for_new(text: str, new: SuperGraph) -> ChangeBatch:
             nodes[vid] = attr
         else:
             raise GraphParseError(f"unknown line kind {kind!r}", lineno)
-    # DE lines incident to a DN vertex record that node's removed edges;
-    # the classifier re-derives those from adjacency, so keep them separate.
-    all_deleted = set(raw.deleted_edges)
-    raw.deleted_edges = {(u, v) for (u, v) in raw.deleted_edges
-                         if u not in raw.deleted_nodes and v not in raw.deleted_nodes}
-    return _classify_edits(_OldFromNew(new, raw, all_deleted), raw)
+    return _classify_edits(new, raw)
 
 
 def render_changes(batch: ChangeBatch) -> str:

@@ -234,7 +234,25 @@ def test_cache_kernels_share_what_they_do_not_change():
     merged = analysis.merge([out, fact], analysis.initial())
     assert merged.sets == ({0: 1}, {1: 1})
     assert merged.sets[1] is fact.sets[1]  # both operands hold this dict
+    # A hit on the youngest block of its set changes nothing.
+    assert analysis.transfer((lf.AccessStmt(0),), fact) is fact
+    assert analysis.transfer((lf.AccessStmt(2), lf.AccessStmt(2)), out) is out
+    assert analysis.transfer((lf.AccessStmt(0), lf.AccessStmt(3)), fact).sets[0] is fact.sets[0]
     assert fact == lf.CacheFact(False, ({0: 0}, {1: 1}))
+
+
+def test_cp_transfer_returns_its_input_when_no_assignment_changes_it():
+    analysis = lf.const_prop()
+    fact = lf.ConstPropFact({"x": 1, "y": lf.TOP, "z": 2})
+    keeps = (lf.AssignConst("x", 1), lf.AssignBinOp("y", "y", "+", "x"),
+             lf.AssignBinOp("z", "x", "+", "x"), lf.AssignBinOp("w", "v", "*", "x"),
+             lf.UseStmt("x"))
+    assert analysis.transfer(keeps, fact) is fact
+    out = analysis.transfer((lf.AssignConst("x", 1), lf.AssignConst("z", 3)), fact)
+    assert out.env == {"x": 1, "y": lf.TOP, "z": 3}
+    assert analysis.transfer((lf.AssignBinOp("x", "v", "-", "z"),), fact).env == {
+        "y": lf.TOP, "z": 2}
+    assert fact == lf.ConstPropFact({"x": 1, "y": lf.TOP, "z": 2})
 
 
 def test_cache_abstract_hits_are_sound_on_random_lines():

@@ -1,7 +1,11 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import classify_reference
 import latticeflow as lf
 from latticeflow.cfg import ChangeKind
 from support import apply_batch, load_fixture, random_edit, random_graph
@@ -193,6 +197,95 @@ def test_change_file_round_trip_delete_add_and_change_in_one_batch():
     assert {line.split()[0] for line in text.splitlines()} == {"DN", "DE", "CN", "AN", "AE"}
     assert lf.parse_changes_for_new(text, new) == batch
     assert apply_batch(old, batch) == new
+
+
+def _outcome(read, *args):
+    """The batch ``read`` returns, or the type and message of its error."""
+    try:
+        return read(*args)
+    except lf.LatticeflowError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_change_line(rng, ids, new):
+    """A change line naming vertices of either version, or of neither."""
+    kind = rng.choice(("AE", "DE", "DN", "AN", "CN"))
+    u, v = rng.choice(ids), rng.choice(ids)
+    if kind in ("AE", "DE"):
+        return f"{kind} {u} {v}"
+    if kind == "DN":
+        return f"DN {u}"
+    if u not in new:
+        return f"{kind} {u} use x"
+    # The vertex's line in the updated graph, "V" swapped for the kind: its
+    # payload agrees with that graph, so the line reaches the classifier.
+    return kind + lf.render_graph(lf.SuperGraph({u: new.vertices[u]}, ()))[1:].rstrip("\n")
+
+
+def _perturbed_changes(rng, text, old, new):
+    """``text`` with lines dropped, duplicated, shuffled or added."""
+    lines = text.splitlines()
+    ids = sorted(set(old.vertices) | set(new.vertices) | {rng.randint(0, 120)})
+    for _ in range(rng.randint(0, 3)):
+        roll = rng.random()
+        if roll < 0.25 and lines:
+            del lines[rng.randrange(len(lines))]
+        elif roll < 0.5 and lines:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+        elif roll < 0.6:
+            rng.shuffle(lines)
+        else:
+            lines.insert(rng.randrange(len(lines) + 1), _random_change_line(rng, ids, new))
+    return "".join(line + "\n" for line in lines)
+
+
+def _random_version_pair(rng):
+    old = random_graph(rng, max_vertices=20, max_edges=45)
+    if rng.random() < 0.25:  # unrelated versions that share some vertex ids
+        return old, random_graph(rng, max_vertices=20, max_edges=45)
+    return old, random_edit(rng, old, max_id=60)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_classification_matches_a_reader_of_the_old_program(seed):
+    # The classifier reads only the updated graph; the reference reads the
+    # old version. Both must give the same batch, or the same error.
+    rng = random.Random(seed)
+    old, new = _random_version_pair(rng)
+    batch = lf.diff_graphs(old, new)
+    assert batch == classify_reference.diff_graphs(old, new)
+    text = _perturbed_changes(rng, lf.render_changes(batch), old, new)
+    assert (_outcome(lf.parse_changes_for_new, text, new)
+            == _outcome(classify_reference.parse_changes_for_new, text, new))
+
+
+def test_changed_vertex_counts_no_successor_that_was_added():
+    # Vertex 1's only edge leads to an added vertex. Without its AE line the
+    # edge is in the updated graph but was never recorded as added; the old
+    # version still had no successor of 1, so the change stays CHANGE_DEST_NODE.
+    new = lf.parse_graph("V 1 entry def x d9\nV 2 use x\nE 1 2\n")
+    text = "CN 1 entry def x d9\nAN 2 use x\n"
+    batch = lf.parse_changes_for_new(text, new)
+    assert batch == classify_reference.parse_changes_for_new(text, new)
+    assert [(c.kind, c.u, c.v) for c in batch] == [
+        (ChangeKind.CHANGE_DEST_NODE, None, 1), (ChangeKind.ADD_DEST_NODE, None, 2)]
+
+
+def test_all_addition_batch_classifies_in_linear_time():
+    # A 20,000-vertex chain against a one-vertex version: every vertex and
+    # edge is added. A classifier that pairs each added vertex with each
+    # added edge takes minutes on it.
+    n = 20_000
+    new = lf.parse_graph("".join(f"V {i} use x\n" for i in range(n))
+                         + "".join(f"E {i} {i + 1}\n" for i in range(n - 1)))
+    old = lf.parse_graph("V 0 use x\n")
+    start = time.perf_counter()
+    batch = lf.diff_graphs(old, new)
+    assert lf.parse_changes_for_new(lf.render_changes(batch), new) == batch
+    assert time.perf_counter() - start < 10
+    assert [(c.kind, c.u, c.v) for c in batch] == [
+        (ChangeKind.ADD_DEST_NODE, i - 1, i) for i in range(1, n)]
 
 
 def test_change_classification_covers_all_kinds():

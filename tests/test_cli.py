@@ -293,8 +293,8 @@ def test_incremental_on_non_utf8_fingerprint_exits_2(capsys, tmp_path):
     assert "not UTF-8" in err
 
 
-# Lines appended to incr_demo.changes, each contradicting incr_demo_new.cfg,
-# and the error each must name.
+# Lines appended to incr_demo.changes, each contradicting incr_demo_new.cfg
+# or the version the changes start from, and the error each must name.
 _CONTRADICTIONS = {
     # Vertex 6 is still in the updated program: accepting this would purge
     # its facts and leave a store the next update refuses.
@@ -310,6 +310,13 @@ _CONTRADICTIONS = {
     "cn-twice": ("CN 5 def y d5\n", "line 5: duplicate CN for vertex 5"),
     "ae-edge-absent": ("AE 3 8\n", "line 5: edge (3, 8) is not in the updated CFG"),
     "de-edge-present": ("DE 3 4\n", "line 5: edge (3, 4) is still in the updated CFG"),
+    # Lines that agree with incr_demo_new.cfg but not with the version the
+    # changes start from: a removed edge needs two old endpoints, and an
+    # added vertex has no payload to change.
+    "de-from-unknown-vertex": ("DE 99 7\n", "cannot delete missing edge (99, 7)"),
+    "de-from-added-vertex": ("AN 3 def c d3\nDE 3 7\n", "cannot delete missing edge (3, 7)"),
+    "cn-of-added-vertex": ("AN 3 def c d3\nCN 3 def c d3\n",
+                           "cannot change unknown vertex 3"),
 }
 
 

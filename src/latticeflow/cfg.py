@@ -69,18 +69,18 @@ class SuperGraph:
             _check_vertex_id(min(self.vertices))
             _check_vertex_id(max(self.vertices))
         self.edges: frozenset[tuple[VertexId, VertexId]] = frozenset(edges)
-        for (u, v) in self.edges:
-            if u not in self.vertices:
-                raise UnknownVertexError(f"edge ({u}, {v}) references unknown vertex {u}")
-            if v not in self.vertices:
-                raise UnknownVertexError(f"edge ({u}, {v}) references unknown vertex {v}")
         preds: dict[VertexId, list[VertexId]] = {vid: [] for vid in self.vertices}
         succs: dict[VertexId, list[VertexId]] = {vid: [] for vid in self.vertices}
-        for (u, v) in self.edges:
+        # One sweep in edge order appends every list in ascending id order.
+        for (u, v) in sorted(self.edges):
+            if u not in succs:
+                raise UnknownVertexError(f"edge ({u}, {v}) references unknown vertex {u}")
+            if v not in preds:
+                raise UnknownVertexError(f"edge ({u}, {v}) references unknown vertex {v}")
             succs[u].append(v)
             preds[v].append(u)
-        self._preds = {vid: tuple(sorted(ps)) for vid, ps in preds.items()}
-        self._succs = {vid: tuple(sorted(ss)) for vid, ss in succs.items()}
+        self._preds = {vid: tuple(ps) for vid, ps in preds.items()}
+        self._succs = {vid: tuple(ss) for vid, ss in succs.items()}
         flagged = frozenset(vid for vid, attr in self.vertices.items() if attr.is_entry)
         if flagged:
             self.entries = flagged

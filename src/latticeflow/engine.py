@@ -32,15 +32,27 @@ Two algorithms share this skeleton and reach the same fixed point:
   seeded vertices sends its fact once, at superstep 0, so a vertex with
   such a predecessor never qualifies.
 
-A vertex that has never produced an outgoing fact holds the sentinel
-``None``; the first computation at a vertex therefore always propagates.
-Active vertices are processed in ascending id order and gathered facts are
-folded in ascending sender order, so runs are bit-reproducible. Facts are
-immutable (see ``lattice``), so one fact object may reach many vertices.
+One start rule gives every vertex its superstep-0 state. A *reset* vertex
+starts with incoming fact the initial element (the entry fact at an
+entry) and outgoing fact the sentinel ``None``, never computed, so its
+first result always propagates. Only the frontier computes at superstep 0:
+reset entries and the targets of pending *boundary* messages; every other
+reset vertex computes when its predecessor's first fact arrives. So a
+reset region costs what analysing it from scratch costs, not that plus a
+round of premature computations on half-known facts. A *warm* vertex
+resumes from a stored incoming/outgoing pair and always computes at
+superstep 0: a stored outgoing fact equals the transfer of the stored
+incoming fact only where the stored run reached the vertex, and one that
+no entry reached there still holds the initial element.
 
-``seed_and_run`` is the optimized algorithm with caller-supplied
-superstep-0 state; the incremental pipeline uses it to resume analysis on
-the updated graph, seeded on the successor-closed affected set.
+A whole-program run (``run``, ``run_classic``, ``run_optimized``) resets
+every vertex. ``seed_and_run`` is the optimized algorithm on reset and warm
+vertices plus boundary messages; the incremental pipeline uses it to
+resume analysis on the updated graph, seeded on the successor-closed
+affected set. Active vertices are processed in ascending id order and
+gathered facts are folded in ascending sender order, so runs are
+bit-reproducible. Facts are immutable (see ``lattice``), so one fact
+object may reach many vertices.
 
 Termination is only guaranteed for monotone clients over finite-height
 lattices, so every run carries a superstep cap (``superstep_cap``, default
@@ -53,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .cfg import SuperGraph, VertexId
 from .errors import GraphError, NonConvergenceError, SeedMismatchError
@@ -94,59 +106,52 @@ class AnalysisResult:
         return self.in_facts == other.in_facts and self.out_facts == other.out_facts
 
 
+def run(g: SuperGraph, analysis: Analysis, algorithm: Algorithm, *,
+        superstep_cap: int | None = None) -> AnalysisResult:
+    """Whole-program analysis with the given algorithm: every vertex resets."""
+    require_entries(g)
+    return _execute(g, analysis, algorithm, *_seeds(g, analysis, g.vertices, {}, {}),
+                    superstep_cap=superstep_cap)
+
+
 def run_classic(g: SuperGraph, analysis: Analysis, *,
                 superstep_cap: int | None = None) -> AnalysisResult:
     """Whole-program analysis with the gather-all worklist algorithm."""
-    return _execute(g, analysis, Algorithm.CLASSIC, *_whole_program_seeds(g, analysis),
-                    superstep_cap=superstep_cap)
+    return run(g, analysis, Algorithm.CLASSIC, superstep_cap=superstep_cap)
 
 
 def run_optimized(g: SuperGraph, analysis: Analysis, *,
                   superstep_cap: int | None = None) -> AnalysisResult:
     """Whole-program analysis with the delta-message worklist algorithm."""
-    return _execute(g, analysis, Algorithm.OPTIMIZED, *_whole_program_seeds(g, analysis),
-                    superstep_cap=superstep_cap)
-
-
-def run(g: SuperGraph, analysis: Analysis, algorithm: Algorithm, *,
-        superstep_cap: int | None = None) -> AnalysisResult:
-    """Whole-program analysis with the given algorithm."""
-    runner = run_classic if algorithm is Algorithm.CLASSIC else run_optimized
-    return runner(g, analysis, superstep_cap=superstep_cap)
+    return run(g, analysis, Algorithm.OPTIMIZED, superstep_cap=superstep_cap)
 
 
 def seed_and_run(g: SuperGraph, analysis: Analysis,
-                 initial_in: Mapping[VertexId, Fact],
-                 initial_out: Mapping[VertexId, Fact | None],
-                 initial_messages: Mapping[VertexId, Sequence[tuple[VertexId, Fact]]],
-                 initial_active: Sequence[VertexId], *,
+                 reset: Collection[VertexId],
+                 warm: Mapping[VertexId, tuple[Fact, Fact]],
+                 boundary: Mapping[VertexId, Sequence[tuple[VertexId, Fact]]], *,
                  superstep_cap: int | None = None) -> AnalysisResult:
-    """The optimized algorithm with caller-supplied superstep-0 state.
+    """The optimized algorithm on the vertices of ``reset`` and ``warm``.
 
-    ``initial_in``/``initial_out`` seed the same vertices of ``g``, and the
-    run covers exactly those: message targets and active vertices must be
-    seeded, and so must every successor of a seeded vertex. An
-    ``initial_out`` of ``None`` marks a vertex as never computed, as in a
-    whole-program run: its first result always propagates, so it need not
-    be active at superstep 0 if a predecessor will push to it. Every
-    message target is active at superstep 0. Message sender ids may be
-    unseeded (facts seeded from storage for boundary predecessors); they
-    only canonicalize gather order.
+    A ``reset`` vertex starts as in a whole-program run; a ``warm`` vertex
+    resumes from its ``(IN, OUT)`` pair. ``boundary`` maps a vertex to the
+    ``(sender, fact)`` messages pending for it at superstep 0. The run
+    covers exactly the seeded vertices, so every boundary target and every
+    successor of a seeded vertex must be seeded. Senders may be unseeded
+    (facts of predecessors outside the run); they only order the gather.
     """
-    seeded = initial_in.keys()
-    if initial_out.keys() != seeded or not seeded <= g.vertices.keys():
-        raise SeedMismatchError("initial_in and initial_out must seed the same graph vertices")
-    stray = (initial_messages.keys() | set(initial_active)) - seeded
+    twice = warm.keys() & reset
+    if twice:
+        raise SeedMismatchError(f"vertices {sorted(twice)} are both reset and warm")
+    seeded = warm.keys() | reset
+    stray = (seeded - g.vertices.keys()) | (boundary.keys() - seeded)
     if stray:
-        raise SeedMismatchError(f"messages or active set name unseeded vertices {sorted(stray)}")
+        raise SeedMismatchError(f"seeds or messages name vertices outside the run {sorted(stray)}")
     escapes = sorted((k, d) for k in seeded for d in g.succs(k) if d not in seeded)
     if escapes:
         raise SeedMismatchError(f"seeded vertices have unseeded successors: edges {escapes}")
     return _execute(g, analysis, Algorithm.OPTIMIZED,
-                    dict(initial_in), dict(initial_out),
-                    {k: [fact for _, fact in sorted(v, key=itemgetter(0))]
-                     for k, v in initial_messages.items()},
-                    set(initial_active), superstep_cap=superstep_cap)
+                    *_seeds(g, analysis, reset, warm, boundary), superstep_cap=superstep_cap)
 
 
 def require_entries(g: SuperGraph) -> None:
@@ -155,11 +160,19 @@ def require_entries(g: SuperGraph) -> None:
         raise GraphError("graph has no entry vertices")
 
 
-def _whole_program_seeds(g: SuperGraph, analysis: Analysis):
-    require_entries(g)
-    initial, entry = analysis.initial(), analysis.entry_fact()
-    initial_in = {vid: entry if vid in g.entries else initial for vid in g.vertices}
-    return initial_in, dict.fromkeys(g.vertices), {}, set(g.entries)
+def _seeds(g: SuperGraph, analysis: Analysis, reset: Iterable[VertexId],
+           warm: Mapping[VertexId, tuple[Fact, Fact]],
+           boundary: Mapping[VertexId, Sequence[tuple[VertexId, Fact]]]):
+    """The superstep-0 IN, OUT, inbox and active set, by the start rule."""
+    initial, entry, entries = analysis.initial(), analysis.entry_fact(), g.entries
+    in_facts = {k: entry if k in entries else initial for k in reset}
+    out_facts: dict[VertexId, Fact | None] = dict.fromkeys(in_facts)
+    for k, (in_fact, out_fact) in warm.items():
+        in_facts[k], out_facts[k] = in_fact, out_fact
+    inbox = {k: [fact for _, fact in sorted(msgs, key=itemgetter(0))]
+             for k, msgs in boundary.items()}
+    active = {k for k in entries if k in in_facts}.union(warm, inbox)
+    return in_facts, out_facts, inbox, active
 
 
 def _execute(g: SuperGraph, analysis: Analysis, algorithm: Algorithm,
@@ -183,7 +196,6 @@ def _execute(g: SuperGraph, analysis: Analysis, algorithm: Algorithm,
     initial, entry = analysis.initial(), analysis.entry_fact()
     preds, succs_of, entries, vertices = g.preds, g.succs, g.entries, g.vertices
     merge, transfer, propagate = analysis.merge, analysis.transfer, analysis.propagate
-    active = active | set(inbox)  # a pending message activates its target
 
     supersteps = 0
     messages_sent = 0

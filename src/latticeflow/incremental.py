@@ -23,19 +23,9 @@ needs a seeded message only for its newly added incoming edges. Vertices
 new in this version have nothing stored and are never reused. The naive
 mode reuses nothing. Every affected vertex that is not reused resets, with
 the stored outgoing facts of its unaffected or reused predecessors seeded
-as pending messages.
-
-A reset vertex starts the way every vertex starts in a whole-program run:
-incoming fact the initial element (the entry fact at an entry), outgoing
-fact the engine's never-computed sentinel. Only the frontier computes at
-superstep 0 -- reset entries and the targets of seeded boundary messages;
-every other reset vertex computes when its predecessor's first fact
-arrives, which the sentinel guarantees is pushed. So a reset region costs
-what analysing it from scratch costs, not that plus a round of premature
-computations on half-known facts. Warm-started vertices all compute at
-superstep 0: a stored outgoing fact equals the transfer of the stored
-incoming fact only where the old version reached the vertex, and one that
-no entry reached there still holds the initial element.
+as pending boundary messages. How reset and warm vertices start, and which
+of them compute at superstep 0, is the engine's start rule (see
+``engine``).
 
 Affected vertices that are unreachable from the updated graph's entries
 stay inert: a whole-program worklist never processes them, so they are
@@ -131,7 +121,7 @@ def _labeled_closure(seeds: Mapping[VertexId, int], g: SuperGraph) -> dict[Verte
     frontier = set(seeds)
     while frontier:
         next_frontier: set[VertexId] = set()
-        for k in sorted(frontier):
+        for k in frontier:
             lab = labels[k]
             for d in g.succs(k):
                 merged = labels.get(d, 0) | lab
@@ -227,46 +217,35 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
         return IncrementalRun(impact=empty, result=zero, purged=frozenset())
 
     impact = build_impact(batch, new_graph, per_kind=per_kind)
-    affected = sorted(impact.affected_all)
+    result = _resume(new_graph, impact, store, analysis, superstep_cap)
+    purged = deleted_vertices(batch)
+    store.batch_put(result.in_facts, result.out_facts, purge=purged)
+    return IncrementalRun(impact=impact, result=result, purged=purged)
 
+
+def _resume(new_graph: SuperGraph, impact: ImpactResult, store: FactStore,
+            analysis: Analysis, superstep_cap: int | None) -> AnalysisResult:
+    """The engine run on the affected set, seeded from the store.
+
+    The seeds die with this call, before the store commit renders its
+    snapshot, so they add nothing to that commit's peak memory.
+    """
     # A whole-program run only ever processes vertices reachable from the
     # entries; everything else keeps the initial element. Affected vertices
-    # outside that region stay inert here (reset, unseeded, inactive) so
-    # the final store matches a from-scratch run exactly.
+    # outside that region stay inert here (reset, without messages) so the
+    # final store matches a from-scratch run exactly.
     reachable = _reachable_from_entries(new_graph)
-    live_reuse = impact.reuse & reachable
 
     # The store holds every old vertex, and only added vertices are new:
     # reused vertices are old by construction, and so is every boundary
     # predecessor, since it is unaffected or reused.
-    initial_in: dict[VertexId, Fact] = {}
-    initial_out: dict[VertexId, Fact | None] = {}
-    reused = sorted(live_reuse)
-    for k, pair in zip(reused, store.batch_get(reused)):
-        initial_in[k], initial_out[k] = pair
-    initial, entry = analysis.initial(), analysis.entry_fact()
-    for k in affected:
-        if k not in live_reuse:
-            initial_in[k] = entry if k in new_graph.entries else initial
-            initial_out[k] = None  # never computed: its first result propagates
-
-    wanted = [(k, p) for k in affected if k in reachable
-              for p in sorted(impact.boundary_preds[k])]
+    reused = list(impact.reuse & reachable)
+    warm = dict(zip(reused, store.batch_get(reused)))
+    wanted = [(k, p) for k, preds in impact.boundary_preds.items() if k in reachable
+              for p in preds]
     fetched = store.batch_get_out([p for (_, p) in wanted])
-    messages: dict[VertexId, list[tuple[VertexId, Fact]]] = {}
+    boundary: dict[VertexId, list[tuple[VertexId, Fact]]] = {}
     for (k, p), fact in zip(wanted, fetched):
-        messages.setdefault(k, []).append((p, fact))
-
-    # Reset vertices start like a whole-program run: only entries and the
-    # targets of boundary messages compute at superstep 0, and every other
-    # reset vertex waits for its first pushed fact. Warm-started vertices
-    # all compute, because a stored OUT need not equal transfer(stored IN):
-    # a vertex unreachable in the old version still holds the initial
-    # element there.
-    active = sorted(live_reuse | (impact.affected_all & new_graph.entries))
-    result = seed_and_run(new_graph, analysis, initial_in, initial_out, messages, active,
-                          superstep_cap=superstep_cap)
-
-    purged = deleted_vertices(batch)
-    store.batch_put(result.in_facts, result.out_facts, purge=purged)
-    return IncrementalRun(impact=impact, result=result, purged=purged)
+        boundary.setdefault(k, []).append((p, fact))
+    return seed_and_run(new_graph, analysis, impact.affected_all - warm.keys(), warm,
+                        boundary, superstep_cap=superstep_cap)

@@ -1,7 +1,9 @@
 """The public API, pinned: a name added to or removed from the package's
-exports, or from a fact store's public members, fails these tests, so every
-change to the API shows in review."""
+exports, or from a fact store's public members, and a parameter renamed,
+reordered, added or removed in a runner, fails these tests, so every change
+to the API shows in review."""
 
+import inspect
 import types
 
 import latticeflow as lf
@@ -51,3 +53,26 @@ STORE_MEMBERS = {
 def test_store_members_are_pinned():
     store = lf.FactStore(lf.reaching_defs())
     assert {name for name in dir(store) if not name.startswith("_")} == STORE_MEMBERS
+
+
+P, K = "POSITIONAL_OR_KEYWORD", "KEYWORD_ONLY"
+SIGNATURES = {
+    "run": [("g", P), ("analysis", P), ("algorithm", P), ("superstep_cap", K)],
+    "run_classic": [("g", P), ("analysis", P), ("superstep_cap", K)],
+    "run_optimized": [("g", P), ("analysis", P), ("superstep_cap", K)],
+    "seed_and_run": [("g", P), ("analysis", P), ("reset", P), ("warm", P), ("boundary", P),
+                     ("superstep_cap", K)],
+    "build_impact": [("batch", P), ("new_graph", P), ("per_kind", K)],
+    "transitive_closure": [("seed", P), ("g", P)],
+    "run_incremental_naive": [("new_graph", P), ("batch", P), ("store", P), ("analysis", P),
+                              ("superstep_cap", K)],
+    "run_incremental_optimized": [("new_graph", P), ("batch", P), ("store", P),
+                                  ("analysis", P), ("superstep_cap", K)],
+}
+
+
+def test_runner_signatures_are_pinned():
+    found = {name: [(p.name, p.kind.name)
+                    for p in inspect.signature(getattr(lf, name)).parameters.values()]
+             for name in SIGNATURES}
+    assert found == SIGNATURES

@@ -89,18 +89,33 @@ def test_diff_worked_example_pair(capsys, tmp_path):
     assert out.read_text() == fixture_path("incr_demo.changes").read_text()
 
 
-def test_incremental_empty_change_file_reports_zero(capsys, tmp_path):
+@pytest.mark.parametrize("mode", ["naive", "opt"])
+def test_incremental_empty_change_file_reports_zero(capsys, tmp_path, mode):
+    # An empty batch never writes the store: not even an identical rewrite
+    # replaces the file.
     store_path, _ = _analyze(capsys, tmp_path, "diamond_rd.cfg", "rd")
     before = store_path.read_bytes()
+    stat = store_path.stat()
     changes = tmp_path / "none.changes"
     changes.write_text("")
     code, out, _ = _run(capsys, "incremental",
                         "--cfg", str(fixture_path("diamond_rd.cfg")),
-                        "--changes", str(changes), "--store", str(store_path))
+                        "--changes", str(changes), "--store", str(store_path),
+                        "--mode", mode)
     assert code == cli.EXIT_OK
-    report = json.loads(out)
-    assert report["affected"]["all"] == 0
+    assert json.loads(out) == {
+        "affected": dict.fromkeys(("add", "all", "change", "delete", "purged", "reused"), 0),
+        "analysis": "reaching-defs",
+        "atomic_changes": 0,
+        "command": "incremental",
+        "mode": mode,
+        "run": {"active_per_superstep": [], "fact_updates": 0, "messages_sent": 0,
+                "supersteps": 0},
+        "sub_cfg": {"edge_pct": 0.0, "edges": 0, "vertex_pct": 0.0, "vertices": 0},
+    }
     assert store_path.read_bytes() == before
+    after = store_path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
 
 
 # Naive mode reuses nothing, so it reports no per-category sets.

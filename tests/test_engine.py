@@ -48,10 +48,8 @@ def test_message_merges_into_retained_incoming_fact():
     analysis = lf.reaching_defs()
     seeded = _rd(("d2", "y"))
     incoming = _rd(("d1", "x"))
-    r = lf.seed_and_run(
-        g, analysis,
-        initial_in={4: seeded}, initial_out={4: None},
-        initial_messages={4: [(1, incoming)]}, initial_active=[4])
+    r = lf.seed_and_run(g, analysis, reset=(), warm={4: (seeded, seeded)},
+                        boundary={4: [(1, incoming)]})
     assert r.in_facts[4] == analysis.merge([incoming], seeded)
     assert r.in_facts[4] == _rd(("d1", "x"), ("d2", "y"))
 
@@ -136,10 +134,8 @@ def test_seeded_boundary_fact_survives_later_messages():
     # later and must be folded into the IN that holds 1's fact.
     g = lf.parse_graph("V 1 entry def y d1\nV 2 entry def x d2\nV 3 use x\nE 1 3\nE 2 3\n")
     analysis = lf.reaching_defs()
-    r = lf.seed_and_run(g, analysis,
-                        initial_in={2: analysis.entry_fact(), 3: analysis.initial()},
-                        initial_out={2: None, 3: None},
-                        initial_messages={3: [(1, _rd(("d1", "y")))]}, initial_active=[2])
+    r = lf.seed_and_run(g, analysis, reset={2, 3}, warm={},
+                        boundary={3: [(1, _rd(("d1", "y")))]})
     assert r.in_facts[3] == _rd(("d1", "y"), ("d2", "x"))
     assert r.supersteps == 2
 
@@ -212,56 +208,86 @@ def test_seed_and_run_degenerate_equals_whole_program():
     g = load_fixture("diamond_rd.cfg")
     analysis = lf.reaching_defs()
     whole = lf.run_optimized(g, analysis)
-    seeded = lf.seed_and_run(
-        g, analysis,
-        initial_in={k: (analysis.entry_fact() if k in g.entries else analysis.initial())
-                    for k in g.vertices},
-        initial_out={k: None for k in g.vertices},
-        initial_messages={}, initial_active=sorted(g.entries))
+    seeded = lf.seed_and_run(g, analysis, reset=g.vertices.keys(), warm={}, boundary={})
     assert seeded.facts_equal(whole)
-    assert seeded.supersteps == whole.supersteps
+    assert seeded.to_report() == whole.to_report()
 
 
 def test_seed_and_run_from_converged_facts_changes_nothing():
     g = load_fixture("diamond_rd.cfg")
     analysis = lf.reaching_defs()
     whole = lf.run_optimized(g, analysis)
-    seeded = lf.seed_and_run(
-        g, analysis,
-        initial_in=dict(whole.in_facts), initial_out=dict(whole.out_facts),
-        initial_messages={}, initial_active=sorted(g.entries))
+    warm = {k: (whole.in_facts[k], whole.out_facts[k]) for k in g.vertices}
+    seeded = lf.seed_and_run(g, analysis, reset=(), warm=warm, boundary={})
     assert seeded.fact_updates == 0
+    assert seeded.active_per_superstep == [len(g)]
     assert seeded.facts_equal(whole)
 
 
 def test_seed_and_run_validates_coverage():
     g = load_fixture("diamond_rd.cfg")
     analysis = lf.reaching_defs()
-    good_in = {k: analysis.initial() for k in g.vertices}
-    good_out = {k: None for k in g.vertices}
+    every = set(g.vertices)
+    pair = (analysis.initial(), analysis.initial())
+    with pytest.raises(lf.SeedMismatchError, match="both reset and warm"):
+        lf.seed_and_run(g, analysis, every, {1: pair}, {})
     with pytest.raises(lf.SeedMismatchError):
-        lf.seed_and_run(g, analysis, {1: analysis.initial()},
-                        good_out, {}, [])
-    with pytest.raises(lf.SeedMismatchError):
-        lf.seed_and_run(g, analysis, good_in, good_out,
-                        {99: [(1, analysis.initial())]}, [])
-    with pytest.raises(lf.SeedMismatchError):
-        lf.seed_and_run(g, analysis, good_in, good_out, {}, [99])
+        lf.seed_and_run(g, analysis, every, {}, {99: [(1, analysis.initial())]})
     # Vertex 1 is seeded but its successors 2 and 3 are not.
+    with pytest.raises(lf.SeedMismatchError, match="unseeded successors"):
+        lf.seed_and_run(g, analysis, {1}, {}, {})
     with pytest.raises(lf.SeedMismatchError):
-        lf.seed_and_run(g, analysis, {1: analysis.initial()},
-                        {1: None}, {}, [1])
+        lf.seed_and_run(g, analysis, every | {99}, {}, {})
     with pytest.raises(lf.SeedMismatchError):
-        lf.seed_and_run(g, analysis, {**good_in, 99: analysis.initial()},
-                        {**good_out, 99: None}, {}, [])
+        lf.seed_and_run(g, analysis, every, {99: pair}, {})
     # {2, 4} is closed under successors: the run covers it and nothing else.
     whole = lf.run_optimized(g, analysis)
-    part = lf.seed_and_run(g, analysis,
-                           {2: analysis.initial(), 4: analysis.initial()},
-                           {2: None, 4: None}, {2: [(1, whole.out_facts[1])]}, [])
+    part = lf.seed_and_run(g, analysis, {2, 4}, {}, {2: [(1, whole.out_facts[1])]})
     assert part.in_facts.keys() == part.out_facts.keys() == {2, 4}
     assert part.out_facts[2] == whole.out_facts[2]
     assert part.supersteps == 2
+
+
+# The start rule, pinned at the engine. Entry 1 feeds 2 and 3; 2 and 3 feed
+# 4, which feeds 5. Seeded on {2, 3, 4, 5}, with 1's fact as a boundary
+# message to 2 only.
+_START = "V 1 entry def x d1\nV 2 nop\nV 3 def y d3\nV 4 nop\nV 5 def z d5\n" \
+         "E 1 2\nE 1 3\nE 2 4\nE 3 4\nE 4 5\n"
+
+
+def test_superstep_0_computes_reset_entries_boundary_targets_and_every_warm_vertex():
+    # Reset 2 has a boundary message and 4 has none; warm 3 has neither, and
+    # its stored OUT is not transfer(IN). So superstep 0 computes 2 and 3,
+    # and 4 waits for its first pushed fact.
+    g = lf.parse_graph(_START)
+    analysis = lf.reaching_defs()
+    d1 = _rd(("d1", "x"))
+    r = lf.seed_and_run(g, analysis, reset={2, 4, 5}, warm={3: (d1, d1)},
+                        boundary={2: [(1, d1)]})
+    assert r.active_per_superstep == [2, 1, 1]
+    assert r.out_facts[3] == _rd(("d1", "x"), ("d3", "y"))
+    assert r.out_facts[5] == _rd(("d1", "x"), ("d3", "y"), ("d5", "z"))
+    whole = lf.run_optimized(g, analysis)
+    assert all(r.out_facts[k] == whole.out_facts[k] for k in (2, 3, 4, 5))
+    # A reset entry computes at superstep 0 without any message.
+    entry = lf.seed_and_run(g, analysis, reset=g.vertices.keys(), warm={}, boundary={})
+    assert entry.active_per_superstep[0] == 1
+    assert entry.facts_equal(whole)
+
+
+def test_reset_vertex_propagates_a_first_result_equal_to_the_initial_element():
+    # Reset 2 has never computed, so its first OUT is pushed to 4 even though
+    # it equals initial() (no definition reaches 2 through the message);
+    # 4 and 5 then compute and 5 gains its own definition.
+    g = lf.parse_graph(_START)
+    analysis = lf.reaching_defs()
+    r = lf.seed_and_run(g, analysis, reset={2, 3, 4, 5}, warm={},
+                        boundary={2: [(1, analysis.initial())],
+                                  3: [(1, analysis.initial())]})
+    assert r.out_facts[2] == analysis.initial()
+    assert r.out_facts[5] == _rd(("d3", "y"), ("d5", "z"))
+    assert r.active_per_superstep == [2, 1, 1]
+    assert r.fact_updates == 4
 
 
 @pytest.mark.parametrize("make", [lf.reaching_defs, lf.const_prop, lf.lru_must_cache])

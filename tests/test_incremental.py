@@ -308,12 +308,8 @@ def test_seeded_subgraph_run_reconverges_from_boundary_facts():
     analysis = lf.reaching_defs()
     old_result = lf.run_optimized(old, analysis)
     affected = build_impact(batch, new, per_kind=False).affected_all
-    seeded = lf.seed_and_run(
-        new, analysis,
-        initial_in={k: analysis.initial() for k in affected},
-        initial_out={k: analysis.initial() for k in affected},
-        initial_messages={4: [(3, old_result.out_facts[3])]},
-        initial_active=sorted(affected))
+    seeded = lf.seed_and_run(new, analysis, reset=affected, warm={},
+                             boundary={4: [(3, old_result.out_facts[3])]})
     assert seeded.in_facts.keys() == seeded.out_facts.keys() == affected
     scratch = lf.run_optimized(new, analysis)
     for k in affected:

@@ -69,8 +69,9 @@ class SuperGraph:
             _check_vertex_id(min(self.vertices))
             _check_vertex_id(max(self.vertices))
         self.edges: frozenset[tuple[VertexId, VertexId]] = frozenset(edges)
-        preds: dict[VertexId, list[VertexId]] = {vid: [] for vid in self.vertices}
-        succs: dict[VertexId, list[VertexId]] = {vid: [] for vid in self.vertices}
+        # Lists while the sweep appends, then tuples in place.
+        preds: dict = {vid: [] for vid in self.vertices}
+        succs: dict = {vid: [] for vid in self.vertices}
         # One sweep in edge order appends every list in ascending id order.
         for (u, v) in sorted(self.edges):
             if u not in succs:
@@ -79,8 +80,11 @@ class SuperGraph:
                 raise UnknownVertexError(f"edge ({u}, {v}) references unknown vertex {v}")
             succs[u].append(v)
             preds[v].append(u)
-        self._preds = {vid: tuple(ps) for vid, ps in preds.items()}
-        self._succs = {vid: tuple(ss) for vid, ss in succs.items()}
+        for table in (preds, succs):
+            for vid, adjacent in table.items():
+                table[vid] = tuple(adjacent)
+        self._preds: dict[VertexId, tuple[VertexId, ...]] = preds
+        self._succs: dict[VertexId, tuple[VertexId, ...]] = succs
         flagged = frozenset(vid for vid, attr in self.vertices.items() if attr.is_entry)
         if flagged:
             self.entries = flagged
@@ -123,7 +127,7 @@ def parse_graph(text: str) -> SuperGraph:
     later in the file.
     """
     vertices: dict[VertexId, VertexAttribute] = {}
-    edge_lines: list[tuple[int, VertexId, VertexId]] = []
+    edges: dict[tuple[VertexId, VertexId], int] = {}  # each edge's first line
     for lineno, tokens in _tokenized_lines(text):
         kind = tokens[0]
         if kind == "V":
@@ -136,15 +140,15 @@ def parse_graph(text: str) -> SuperGraph:
                 raise GraphParseError("E line needs exactly a source and a destination", lineno)
             u = _parse_vertex_id(tokens[1], lineno)
             v = _parse_vertex_id(tokens[2], lineno)
-            edge_lines.append((lineno, u, v))
+            edges.setdefault((u, v), lineno)
         else:
             raise GraphParseError(f"unknown line kind {kind!r}", lineno)
-    for (lineno, u, v) in edge_lines:
+    for (u, v), lineno in edges.items():
         if u not in vertices:
             raise UnknownVertexError(f"edge references unknown vertex {u}", lineno)
         if v not in vertices:
             raise UnknownVertexError(f"edge references unknown vertex {v}", lineno)
-    return SuperGraph(vertices, {(u, v) for (_, u, v) in edge_lines})
+    return SuperGraph(vertices, edges)
 
 
 def _tokenized_lines(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -370,19 +374,14 @@ def diff_graphs(old: SuperGraph, new: SuperGraph) -> ChangeBatch:
     incoming fact changed, so downstream analysis must treat it like a
     rewritten vertex.
     """
-    old_ids = set(old.vertices)
-    new_ids = set(new.vertices)
-    surviving = old_ids & new_ids
-    changed = {x: new.vertices[x] for x in sorted(surviving)
-               if new.vertices[x] != old.vertices[x]}
-    for x in sorted(surviving):
-        if x not in changed and (x in old.entries) != (x in new.entries):
-            changed[x] = new.vertices[x]
+    changed = {x: attr for x, attr in new.vertices.items()
+               if (was := old.vertices.get(x)) is not None
+               and (attr != was or (x in old.entries) != (x in new.entries))}
     raw = _RawEdits(
-        deleted_nodes=old_ids - new_ids,
+        deleted_nodes=old.vertices.keys() - new.vertices.keys(),
         deleted_edges=set(old.edges - new.edges),
         changed_nodes=changed,
-        added_nodes={x: new.vertices[x] for x in new_ids - old_ids},
+        added_nodes={x: new.vertices[x] for x in new.vertices.keys() - old.vertices.keys()},
         added_edges=set(new.edges - old.edges),
     )
     return _classify_edits(new, raw)

@@ -225,11 +225,7 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
 
 def _resume(new_graph: SuperGraph, impact: ImpactResult, store: FactStore,
             analysis: Analysis, superstep_cap: int | None) -> AnalysisResult:
-    """The engine run on the affected set, seeded from the store.
-
-    The seeds die with this call, before the store commit renders its
-    snapshot, so they add nothing to that commit's peak memory.
-    """
+    """The engine run on the affected set, seeded from the store."""
     # A whole-program run only ever processes vertices reachable from the
     # entries; everything else keeps the initial element. Affected vertices
     # outside that region stay inert here (reset, without messages) so the

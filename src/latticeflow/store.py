@@ -12,14 +12,15 @@ A store without a path lives in memory. A file-backed store is a single
 snapshot: a header (magic, format version, fingerprint), then two
 length-prefixed records per vertex -- IN, then OUT -- with vertices
 ascending. A file whose records are unpaired or out of that order is
-refused. A batch write renders the new snapshot to a temporary file and
-renames it over the old one, so an interrupted write leaves the previous
-snapshot intact. One writer per store handle; batch calls are not
-re-entrant.
+refused. A commit writes the records to a temporary file as it packs
+them, so it holds the stored bytes once, and then renames the file over
+the old one, so an interrupted write leaves the previous snapshot intact.
+One writer per store handle; batch calls are not re-entrant.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from pathlib import Path
@@ -105,14 +106,6 @@ class FactStore:
         the ``purge`` vertices, even ones ``in_facts`` names, in one commit."""
         doomed = set(purge)
         staged = {v: pair for v, pair in self._entries.items() if v not in doomed}
-        self._encode_into(staged, in_facts, out_facts, sorted(in_facts.keys() - doomed))
-        self._commit(staged)
-        self._entries = staged
-
-    def _encode_into(self, staged: Entries, in_facts: Mapping[VertexId, Fact],
-                     out_facts: Mapping[VertexId, Fact], vertices: list[VertexId]) -> None:
-        """Encode the pairs of ``vertices`` into ``staged``, each distinct
-        fact object once; the memo is gone before the snapshot renders."""
         encode = self._analysis.encode
         encoded: dict[int, bytes] = {}  # by id(): the mappings keep every fact alive
 
@@ -122,8 +115,10 @@ class FactStore:
                 payload = encoded[id(fact)] = encode(fact)
             return payload
 
-        for vertex in vertices:
+        for vertex in sorted(in_facts.keys() - doomed):
             staged[vertex] = (data(in_facts[vertex]), data(out_facts[vertex]))
+        self._commit(staged)
+        self._entries = staged
 
     def vertices(self) -> KeysView[VertexId]:
         return self._entries.keys()
@@ -133,26 +128,26 @@ class FactStore:
         return dict(self._entries)
 
     def _commit(self, entries: Entries) -> None:
+        """Write ``entries`` as the snapshot, record by record, then rename
+        it into place; a failed write removes its partial temporary file."""
         if self.path is None:
             return
+        fp = self._analysis.fingerprint().encode("utf-8")
+        tmp = self.path.with_name(self.path.name + ".tmp")
         try:
-            blob = _render_snapshot(entries, self._analysis.fingerprint())
-            tmp = self.path.with_name(self.path.name + ".tmp")
             with open(tmp, "wb") as fh:
-                fh.write(blob)
+                fh.write(_MAGIC + _HEADER.pack(len(fp)) + fp)
+                for vertex in sorted(entries):
+                    in_data, out_data = entries[vertex]
+                    fh.write(_RECORD.pack(vertex, 0, len(in_data)))
+                    fh.write(in_data)
+                    fh.write(_RECORD.pack(vertex, 1, len(out_data)))
+                    fh.write(out_data)
             os.replace(tmp, self.path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
             raise StoreIOError(f"cannot write store {self.path}: {exc}") from exc
-
-
-def _render_snapshot(entries: Entries, fingerprint: str) -> bytes:
-    fp = fingerprint.encode("utf-8")
-    chunks = [_MAGIC, _HEADER.pack(len(fp)), fp]
-    for vertex in sorted(entries):
-        in_data, out_data = entries[vertex]
-        chunks += (_RECORD.pack(vertex, 0, len(in_data)), in_data,
-                   _RECORD.pack(vertex, 1, len(out_data)), out_data)
-    return b"".join(chunks)
 
 
 def _read_header(fh: BinaryIO, path: Path) -> str:

@@ -22,19 +22,25 @@ E 3 4
 """
 
 
-def test_parse_minimal_chain():
-    g = lf.parse_graph("V 1 entry def x d1\nV 2 def x d2\nE 1 2\n")
+@pytest.mark.parametrize("edges", ["E 1 2\n", "E 1 2\nE 1 2\n"], ids=["once", "repeated"])
+def test_parse_minimal_chain(edges):
+    g = lf.parse_graph("V 1 entry def x d1\nV 2 def x d2\n" + edges)
     assert set(g.vertices) == {1, 2}
     assert g.edges == frozenset({(1, 2)})
+    assert g.preds(2) == (1,) and g.succs(1) == (2,)
     assert g.entries == frozenset({1})
 
 
-def test_parse_reports_unknown_edge_vertex_with_line():
-    text = "V 1 def x d1\n# comment\nE 1 9\n"
+@pytest.mark.parametrize("text,vertex,line", [
+    ("V 1 def x d1\n# comment\nE 1 9\n", 9, 3),
+    ("V 1 def x d1\nE 1 9\nV 2 nop\nE 1 9\n", 9, 2),  # the edge's first line
+    ("V 1 nop\nE 5 9\nE 1 8\n", 5, 2),  # the first bad edge in file order
+], ids=["one-edge", "repeated-edge", "file-order"])
+def test_parse_reports_unknown_edge_vertex_with_line(text, vertex, line):
     with pytest.raises(lf.UnknownVertexError) as exc:
         lf.parse_graph(text)
-    assert "9" in str(exc.value)
-    assert exc.value.line == 3
+    assert f"unknown vertex {vertex}" in str(exc.value)
+    assert exc.value.line == line
 
 
 def test_parse_rejects_duplicate_vertex():

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -552,3 +553,48 @@ def test_module_entry_point_runs_the_command(tmp_path):
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert store.exists()
+
+
+def _loop_program(n, edited=False):
+    """A chain of ``n`` rd vertices with a back edge every four; the edited
+    version rewrites vertex 2 and appends a vertex."""
+    lines = ["V 1 entry def x d1"]
+    lines += [f"V {i} {'use x' if i % 3 else f'def x d{i}'}" for i in range(2, n + 1)]
+    lines += [f"E {i} {i + 1}" for i in range(1, n)]
+    lines += [f"E {i} {i - 3}" for i in range(5, n + 1, 4)]
+    if edited:
+        lines[1] = "V 2 def y d0"
+        lines += [f"V {n + 1} use y", f"E {n} {n + 1}"]
+    return "\n".join(lines) + "\n"
+
+
+def _cyclic_garbage_per_command(capsys, tmp_path, n):
+    """What ``gc.collect()`` finds after each command, the collector off."""
+    old, new = tmp_path / f"old{n}.cfg", tmp_path / f"new{n}.cfg"
+    old.write_text(_loop_program(n))
+    new.write_text(_loop_program(n, edited=True))
+    store, changes = tmp_path / f"{n}.store", tmp_path / f"{n}.changes"
+    commands = [
+        ("analyze", "--cfg", old, "--analysis", "rd", "--store", store),
+        ("diff", "--old", old, "--new", new, "--out", changes),
+        ("incremental", "--cfg", new, "--changes", changes, "--store", store),
+    ]
+    found = []
+    for argv in commands:
+        gc.collect()
+        code, _, err = _run(capsys, *map(str, argv))
+        assert code == cli.EXIT_OK, err
+        found.append(gc.collect())
+    return found
+
+
+def test_commands_leave_no_cyclic_garbage_per_vertex(capsys, tmp_path):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        small = _cyclic_garbage_per_command(capsys, tmp_path, 12)
+        large = _cyclic_garbage_per_command(capsys, tmp_path, 2000)
+    finally:
+        if enabled:
+            gc.enable()
+    assert small == large

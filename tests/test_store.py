@@ -1,6 +1,9 @@
+import builtins
+import errno
 import os
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -146,6 +149,66 @@ def test_interrupted_batch_put_preserves_previous_snapshot(tmp_path, monkeypatch
     assert path.read_bytes() == good_bytes
     reopened = lf.FactStore.open(path, lf.reaching_defs())
     assert reopened.batch_get([2, 1]) == [None, (_rd(), _rd(("d1", "x")))]
+
+
+class _FullDisk:
+    """A file that takes ``room`` more bytes, then fails like a full disk."""
+
+    def __init__(self, fh, room):
+        self._fh, self._room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        taken = self._fh.write(data[:self._room])
+        self._room -= taken
+        if taken < len(data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return taken
+
+
+def test_batch_put_failing_after_the_header_removes_its_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "facts.store"
+    store = new_store(path, lf.reaching_defs())
+    _put(store, {1: (_rd(), _rd(("d1", "x")))})
+    good_bytes = path.read_bytes()
+    header, _ = split_store(good_bytes)
+
+    def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return _FullDisk(fh, len(header) + 5) if "w" in mode else fh
+
+    monkeypatch.setattr(lf.store, "open", open_on_a_full_disk, raising=False)
+    with pytest.raises(lf.StoreIOError, match="No space left on device"):
+        _put(store, {2: (_rd(), _rd(("d2", "y")))})
+    monkeypatch.undo()
+
+    assert path.read_bytes() == good_bytes
+    reopened = lf.FactStore.open(path, lf.reaching_defs())
+    assert reopened.batch_get([2, 1]) == [None, (_rd(), _rd(("d1", "x")))]
+    assert store.batch_get([2, 1]) == [None, (_rd(), _rd(("d1", "x")))]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["facts.store"]
+
+
+def test_one_vertex_commit_holds_no_copy_of_the_store(tmp_path):
+    # 2,000 vertices of 40-definition facts: a file of about 2.65 MB.
+    path = tmp_path / "facts.store"
+    analysis = lf.reaching_defs()
+    facts = {v: _rd(*((f"d{v}.{i}", "x") for i in range(40))) for v in range(2000)}
+    new_store(path, analysis).batch_put(facts, facts)
+    size = path.stat().st_size
+    store = lf.FactStore.open(path, analysis)
+    tracemalloc.start()
+    try:
+        _put(store, {0: (_rd(), _rd())})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2
 
 
 def test_snapshot_bytes_are_canonical(tmp_path):

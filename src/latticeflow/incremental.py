@@ -33,11 +33,12 @@ reset, get no messages and end with the initial element.
 
 The store holds one IN/OUT pair per vertex and must hold exactly the old
 version's vertices; any other store is refused before it is read or
-written. A warm-started vertex reads its pair, a boundary predecessor only
-its OUT. Both strategies run the engine's optimized algorithm, which takes
-only a superstep cap (no worker count), and finish with one store commit
-that writes the affected vertices' pairs and purges deleted vertices; the
-resulting store equals a from-scratch analysis of the updated graph.
+written. A warm-started vertex reads its pair, and so does a boundary
+predecessor, which seeds only its OUT. Both strategies run the engine's
+optimized algorithm, which takes only a superstep cap (no worker count),
+and finish with one store commit that writes the affected vertices' pairs
+and purges deleted vertices; the resulting store equals a from-scratch
+analysis of the updated graph.
 """
 
 from __future__ import annotations
@@ -205,9 +206,9 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
     stored = store.vertices()
     if stored != old:
         raise StoreInconsistentError(
-            f"store {store.path or '(in memory)'} was not computed for the program "
-            f"these changes start from ({len(old)} vertices): it holds facts for "
-            f"{len(stored)} vertices, {len(stored - old)} of them not in that program")
+            f"store {store.path} was not computed for the program these changes start "
+            f"from ({len(old)} vertices): it holds facts for {len(stored)} vertices, "
+            f"{len(stored - old)} of them not in that program")
     require_entries(new_graph)
     if not batch:
         empty = ImpactResult(frozenset(), frozenset(), frozenset(), frozenset(),
@@ -239,9 +240,9 @@ def _resume(new_graph: SuperGraph, impact: ImpactResult, store: FactStore,
     warm = dict(zip(reused, store.batch_get(reused)))
     wanted = [(k, p) for k, preds in impact.boundary_preds.items() if k in reachable
               for p in preds]
-    fetched = store.batch_get_out([p for (_, p) in wanted])
+    fetched = store.batch_get([p for (_, p) in wanted])
     boundary: dict[VertexId, list[tuple[VertexId, Fact]]] = {}
-    for (k, p), fact in zip(wanted, fetched):
-        boundary.setdefault(k, []).append((p, fact))
+    for (k, p), (_, out) in zip(wanted, fetched):
+        boundary.setdefault(k, []).append((p, out))
     return seed_and_run(new_graph, analysis, impact.affected_all - warm.keys(), warm,
                         boundary, superstep_cap=superstep_cap)

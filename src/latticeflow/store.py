@@ -8,14 +8,13 @@ immutable (see ``lattice``), so a batch read decodes each distinct payload
 once and shares the fact, and a batch write encodes each distinct fact
 object once, however many IN and OUT slots of the batch hold it.
 
-A store without a path lives in memory. A file-backed store is a single
-snapshot: a header (magic, format version, fingerprint), then two
-length-prefixed records per vertex -- IN, then OUT -- with vertices
-ascending. A file whose records are unpaired or out of that order is
-refused. A commit writes the records to a temporary file as it packs
-them, so it holds the stored bytes once, and then renames the file over
-the old one, so an interrupted write leaves the previous snapshot intact.
-One writer per store handle; batch calls are not re-entrant.
+A store is one file, a single snapshot: a header (magic, format version,
+fingerprint), then two length-prefixed records per vertex, IN then OUT,
+with vertices ascending. A file whose records are unpaired or out of
+that order is refused. Every commit writes the records to a temporary file
+as it packs them, so it holds the stored bytes once, and then renames the
+file over the old one, so an interrupted write leaves the previous snapshot
+intact. One writer per store handle; batch calls are not re-entrant.
 """
 
 from __future__ import annotations
@@ -46,21 +45,21 @@ Entries = dict[VertexId, tuple[bytes, bytes]]
 class FactStore:
     """Per-vertex IN/OUT facts bound to one analysis fingerprint."""
 
-    def __init__(self, analysis: Analysis, path: str | Path | None = None,
-                 _entries: Entries | None = None):
+    def __init__(self, analysis: Analysis, path: str | Path):
         self._analysis = analysis
-        self.path = Path(path) if path is not None else None
-        self._entries: Entries = _entries or {}
+        self.path = Path(path)
+        self._entries: Entries = {}
 
     @classmethod
     def open(cls, path: str | Path, analysis: Analysis) -> "FactStore":
-        """Open an existing file-backed store; fingerprints must match."""
-        entries, fingerprint = _read_snapshot(Path(path))
+        """Open an existing store file; fingerprints must match."""
+        store = cls(analysis, path)
+        store._entries, fingerprint = _read_snapshot(store.path)
         if fingerprint != analysis.fingerprint():
             raise WrongAnalysisError(
                 f"store was written by {fingerprint!r}, "
                 f"not {analysis.fingerprint()!r}")
-        return cls(analysis, path, _entries=entries)
+        return store
 
     @staticmethod
     def read_fingerprint(path: str | Path) -> str:
@@ -73,20 +72,8 @@ class FactStore:
             raise StoreIOError(f"cannot read store {path}: {exc}") from exc
 
     def batch_get(self, vertices: Iterable[VertexId]) -> list[tuple[Fact, Fact] | None]:
-        """Decoded ``(IN, OUT)`` pairs aligned with ``vertices``; None for a
-        vertex with no stored facts. Equal payloads decode to one object."""
-        decode = self._decoder()
-        return [None if (pair := self._entries.get(v)) is None else
-                (decode(v, 0, pair[0]), decode(v, 1, pair[1])) for v in vertices]
-
-    def batch_get_out(self, vertices: Iterable[VertexId]) -> list[Fact | None]:
-        """``batch_get`` of the OUT facts alone, decoding no IN payload."""
-        decode = self._decoder()
-        return [None if (pair := self._entries.get(v)) is None else
-                decode(v, 1, pair[1]) for v in vertices]
-
-    def _decoder(self):
-        """A decode function that decodes each distinct payload once."""
+        """Decoded ``(IN, OUT)`` pairs aligned with ``vertices``, None for an
+        unstored vertex; each distinct payload decodes once, to one object."""
         decoded: dict[bytes, Fact] = {}
 
         def decode(vertex: VertexId, slot: int, data: bytes) -> Fact:
@@ -98,7 +85,8 @@ class FactStore:
                     raise StoreDecodeError(f"cannot decode the {_SLOTS[slot]} fact "
                                            f"of vertex {vertex}: {exc}") from exc
             return fact
-        return decode
+        return [None if (pair := self._entries.get(v)) is None else
+                (decode(v, 0, pair[0]), decode(v, 1, pair[1])) for v in vertices]
 
     def batch_put(self, in_facts: Mapping[VertexId, Fact], out_facts: Mapping[VertexId, Fact],
                   purge: Iterable[VertexId] = ()) -> None:
@@ -130,8 +118,6 @@ class FactStore:
     def _commit(self, entries: Entries) -> None:
         """Write ``entries`` as the snapshot, record by record, then rename
         it into place; a failed write removes its partial temporary file."""
-        if self.path is None:
-            return
         fp = self._analysis.fingerprint().encode("utf-8")
         tmp = self.path.with_name(self.path.name + ".tmp")
         try:

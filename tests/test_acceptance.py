@@ -51,7 +51,7 @@ def test_criterion_1_four_way_equivalence():
                  f"({elapsed:.1f}s)")
 
 
-def test_criterion_2_incremental_equals_scratch():
+def test_criterion_2_incremental_equals_scratch(tmp_path):
     """100 random (graph, change-batch) pairs covering all eight atomic
     kinds: both incremental modes reproduce the from-scratch store and do
     not touch unaffected vertices' bytes."""
@@ -72,11 +72,11 @@ def test_criterion_2_incremental_equals_scratch():
         for idx, (old, new, batch) in enumerate(pairs):
             old_result = lf.run_optimized(old, analysis)
             scratch_result = lf.run_optimized(new, analysis)
-            scratch = lf.FactStore(analysis)
+            scratch = lf.FactStore(analysis, tmp_path / "scratch.store")
             scratch.batch_put(scratch_result.in_facts, scratch_result.out_facts)
             expected = scratch.snapshot()
             for runner in (lf.run_incremental_naive, lf.run_incremental_optimized):
-                store = lf.FactStore(analysis)
+                store = lf.FactStore(analysis, tmp_path / "incremental.store")
                 store.batch_put(old_result.in_facts, old_result.out_facts)
                 before = store.snapshot()
                 run = runner(new, batch, store, analysis)
@@ -115,7 +115,7 @@ def test_criterion_3_worked_example_sets():
     _announce(3, "worked-example impact sets and boundary sources match")
 
 
-def test_criterion_4_superstep_economy():
+def test_criterion_4_superstep_economy(tmp_path):
     """On a 100-vertex chain with one subsumed add-only edge, the optimized
     mode converges in <= 3 supersteps with zero fact changes while the
     naive mode re-propagates a >= 50 superstep wavefront."""
@@ -134,7 +134,7 @@ def test_criterion_4_superstep_economy():
     reports = {}
     for mode, runner in (("naive", lf.run_incremental_naive),
                          ("opt", lf.run_incremental_optimized)):
-        store = lf.FactStore(analysis)
+        store = lf.FactStore(analysis, tmp_path / f"{mode}.store")
         store.batch_put(base.in_facts, base.out_facts)
         run = runner(new, batch, store, analysis)
         reports[mode] = run.result.to_report()

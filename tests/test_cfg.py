@@ -54,6 +54,19 @@ def test_parse_rejects_malformed_payload_with_line():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("V 1 entry nop\nE 1\n", 2, "E line needs exactly a source and a destination"),
+    ("V 1 entry nop\nX 1\n", 2, "unknown line kind 'X'"),
+    ("V 7\n", 1, "V line needs an id and a payload"),
+    ("V x nop\n", 1, "not a vertex id: 'x'"),
+], ids=["E-one-endpoint", "unknown-kind", "V-no-payload", "V-bad-id"])
+def test_parse_rejects_malformed_line(text, line, message):
+    with pytest.raises(lf.GraphParseError) as exc:
+        lf.parse_graph(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 _TOO_BIG = 2 ** 64
 
 
@@ -78,6 +91,27 @@ def test_change_lines_reject_vertex_id_past_the_store_limit(change):
         lf.parse_changes_for_new(f"# header\n{change}\n", new)
     assert exc.value.line == 2
     assert f"must be below {_TOO_BIG}" in str(exc.value)
+
+
+@pytest.mark.parametrize("change,message", [
+    ("AE 1", "AE line needs a source and a destination"),
+    ("DN 1 2", "DN line needs exactly a vertex id"),
+    ("ZZ 1", "unknown line kind 'ZZ'"),
+], ids=["AE-one-endpoint", "DN-two-ids", "unknown-kind"])
+def test_change_lines_reject_malformed_line(change, message):
+    new = lf.parse_graph("V 1 entry nop\n")
+    with pytest.raises(lf.GraphParseError) as exc:
+        lf.parse_changes_for_new(f"# header\n{change}\n", new)
+    assert exc.value.line == 2
+    assert str(exc.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("edge,vertex", [((1, 2), 2), ((3, 1), 3)], ids=["dest", "source"])
+def test_supergraph_refuses_an_edge_to_an_unknown_vertex(edge, vertex):
+    attr = lf.VertexAttribute(stmts=())
+    with pytest.raises(lf.UnknownVertexError) as exc:
+        lf.SuperGraph({1: attr}, [edge])
+    assert str(exc.value) == f"edge {edge} references unknown vertex {vertex}"
 
 
 def test_supergraph_vertex_ids_fit_the_store():
@@ -347,3 +381,9 @@ def test_rendering_two_statements_is_a_graph_error():
     batch = lf.diff_graphs(lf.SuperGraph({}, ()), g)
     with pytest.raises(lf.GraphError, match="at most one statement per vertex"):
         lf.render_changes(batch)
+
+
+def test_rendering_an_unknown_statement_record_is_a_graph_error():
+    g = lf.SuperGraph({1: lf.VertexAttribute((("jump", "x"),))}, ())
+    with pytest.raises(lf.GraphError, match=r"unknown statement record \('jump', 'x'\)"):
+        lf.render_graph(g)

@@ -355,6 +355,12 @@ _CONTRADICTIONS = {
     # A cache geometry with more digits than int() parses.
     (("incremental", "--cfg", "{demo_new}", "--changes", "{demo_changes}",
       "--store", "{long_geometry_store}"), "too long"),
+    # A known analysis name with the other direction.
+    (("incremental", "--cfg", "{demo_new}", "--changes", "{demo_changes}",
+      "--store", "{wrong_direction_store}"),
+     "fingerprint 'reaching-defs|decreasing' direction does not match 'reaching-defs'"),
+    (("incremental", "--cfg", "{demo_new}", "--changes", "{demo_changes}",
+      "--store", "{missing}/s.store"), "cannot read store"),
     # An unwritable report fails before the run: no store is written.
     (("analyze", "--cfg", "{cfg}", "--analysis", "rd", "--store", "{out}",
       "--report", "{missing}/r.json"), "r.json"),
@@ -366,16 +372,19 @@ _CONTRADICTIONS = {
         "--store", "{demo_store}"), named) for name, (_, named) in _CONTRADICTIONS.items()),
 ], ids=["cfg-not-utf8", "diff-cfg-not-utf8", "changes-not-utf8", "vertex-id-2**64",
         "sets-past-bound", "store-of-another-program", "update-without-entries",
-        "store-geometry-too-long", "analyze-report-unwritable",
-        "incremental-report-unwritable", *_CONTRADICTIONS])
+        "store-geometry-too-long", "store-direction-mismatch", "store-missing",
+        "analyze-report-unwritable", "incremental-report-unwritable", *_CONTRADICTIONS])
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
     store, _ = _analyze(capsys, tmp_path, "diamond_rd.cfg", "rd")
     chain_store, _ = _analyze(capsys, tmp_path, "chain10.cfg", "rd")
     demo_store, _ = _analyze(capsys, tmp_path, "incr_demo_old.cfg", "rd")
+    header_only = {"long_geometry": f"lru-must-cache(sets=4,assoc={'9' * 5000})|decreasing",
+                   "wrong_direction": "reaching-defs|decreasing"}
+    for name, fingerprint in header_only.items():
+        (tmp_path / f"{name}.store").write_bytes(
+            b"LFSTORE1" + len(fingerprint).to_bytes(4, "little") + fingerprint.encode())
     long_geometry_store = tmp_path / "long_geometry.store"
-    fingerprint = f"lru-must-cache(sets=4,assoc={'9' * 5000})|decreasing".encode()
-    long_geometry_store.write_bytes(b"LFSTORE1" + len(fingerprint).to_bytes(4, "little")
-                                    + fingerprint)
+    wrong_direction_store = tmp_path / "wrong_direction.store"
     with_entry = tmp_path / "with_entry.cfg"
     with_entry.write_text("V 1 entry def x d1\nV 2 use x\nE 1 2\n")
     no_entry = tmp_path / "no_entry.cfg"
@@ -388,7 +397,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
                      "--out", str(no_entry_changes)]) == cli.EXIT_OK
     capsys.readouterr()
     stored = {path: path.read_bytes()
-              for path in (store, chain_store, entry_store, demo_store, long_geometry_store)}
+              for path in (store, chain_store, entry_store, demo_store, long_geometry_store,
+                           wrong_direction_store)}
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes(b"V 1 entry def x d\xff\n")
     big_id = tmp_path / "big_id.cfg"
@@ -403,6 +413,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
              "demo_changes": fixture_path("incr_demo.changes"), "no_entry": no_entry,
              "no_entry_changes": no_entry_changes, "entry_store": entry_store,
              "demo_store": demo_store, "long_geometry_store": long_geometry_store,
+             "wrong_direction_store": wrong_direction_store,
              "missing": tmp_path / "missing",
              **{name: tmp_path / f"{name}.changes" for name in _CONTRADICTIONS}}
     code, stdout, err = _run(capsys, *(a.format(**paths) for a in argv))
@@ -497,6 +508,27 @@ def test_incremental_refuses_unpaired_or_misordered_records(capsys, tmp_path, ed
     code, out, err = _demo_incremental(capsys, store_path)
     _assert_refused(code, out, err, store_path, blob)
     assert message in err
+
+
+def test_corrupt_in_payload_of_a_boundary_predecessor_exits_2(capsys, tmp_path):
+    # In naive mode vertex 3 is the boundary predecessor of the reset vertex
+    # 4: only its OUT seeds a message, but its whole pair is decoded, so a
+    # corrupt IN payload there is refused. In opt mode no update reads
+    # vertex 3 and the run exits 0, copying the corrupt bytes into the new
+    # store; that is the unread-payload FOUND that the store checksum of
+    # ROADMAP B closes, so it is not asserted here.
+    store_path, _ = _analyze(capsys, tmp_path, "incr_demo_old.cfg", "rd")
+    header, records = split_store(store_path.read_bytes())
+    assert records[4][:2] == (3, 0)
+    records[4] = (3, 0, b"\xff")
+    blob = join_store(header, records)
+    store_path.write_bytes(blob)
+    code, out, err = _run(capsys, "incremental", "--mode", "naive",
+                          "--cfg", str(fixture_path("incr_demo_new.cfg")),
+                          "--changes", str(fixture_path("incr_demo.changes")),
+                          "--store", str(store_path))
+    _assert_refused(code, out, err, store_path, blob)
+    assert "error: cannot decode the IN fact of vertex 3" in err
 
 
 def test_incremental_survives_every_corrupted_store_byte(capsys, tmp_path):

@@ -386,6 +386,10 @@ def test_non_monotone_analysis_hits_superstep_cap():
         lf.run_optimized(g, _Oscillator())
     with pytest.raises(lf.NonConvergenceError):
         lf.run_classic(g, _Oscillator())
+    for solve in (lf.run_sequential, lambda g, a: lf.run_chaotic(g, a, 7)):
+        with pytest.raises(lf.NonConvergenceError, match="no fixed point after 320 worklist "
+                                                         "iterations"):
+            solve(g, _Oscillator())
 
 
 def test_superstep_cap_override():

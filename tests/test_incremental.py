@@ -26,15 +26,15 @@ def _example():
     return old, new, lf.diff_graphs(old, new)
 
 
-def _converged_store(graph, analysis):
-    store = lf.FactStore(analysis)
+def _converged_store(graph, analysis, path):
+    store = lf.FactStore(analysis, path)
     result = lf.run_optimized(graph, analysis)
     store.batch_put(result.in_facts, result.out_facts)
     return store
 
 
-def _scratch_snapshot(graph, analysis):
-    return _converged_store(graph, analysis).snapshot()
+def _scratch_snapshot(graph, analysis, path):
+    return _converged_store(graph, analysis, path).snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +186,10 @@ def test_subgraph_edges_are_the_induced_ones(capsys, tmp_path):
 
 @pytest.mark.parametrize("runner", [lf.run_incremental_naive,
                                     lf.run_incremental_optimized])
-def test_empty_batch_touches_nothing(runner):
+def test_empty_batch_touches_nothing(tmp_path, runner):
     g = load_fixture("diamond_rd.cfg")
     analysis = lf.reaching_defs()
-    store = _converged_store(g, analysis)
+    store = _converged_store(g, analysis, tmp_path / "g.store")
     before = store.snapshot()
     run = runner(g, (), store, analysis)
     assert store.snapshot() == before
@@ -200,25 +200,25 @@ def test_empty_batch_touches_nothing(runner):
 @pytest.mark.parametrize("make", ANALYSES)
 @pytest.mark.parametrize("runner", [lf.run_incremental_naive,
                                     lf.run_incremental_optimized])
-def test_added_edge_on_diamond_matches_scratch(make, runner):
+def test_added_edge_on_diamond_matches_scratch(tmp_path, make, runner):
     old = load_fixture("diamond_rd.cfg")
     new = lf.SuperGraph(old.vertices, set(old.edges) | {(2, 3)})
     batch = lf.diff_graphs(old, new)
     analysis = make()
-    store = _converged_store(old, analysis)
+    store = _converged_store(old, analysis, tmp_path / "old.store")
     runner(new, batch, store, analysis)
-    assert store.snapshot() == _scratch_snapshot(new, analysis)
+    assert store.snapshot() == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
 
 
 @pytest.mark.parametrize("make", ANALYSES)
-def test_worked_example_updates_only_affected(make):
+def test_worked_example_updates_only_affected(tmp_path, make):
     old, new, batch = _example()
     analysis = make()
-    store = _converged_store(old, analysis)
+    store = _converged_store(old, analysis, tmp_path / "old.store")
     before = store.snapshot()
     run = lf.run_incremental_naive(new, batch, store, analysis)
     after = store.snapshot()
-    assert after == _scratch_snapshot(new, analysis)
+    assert after == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
     untouched = set(new.vertices) - set(run.impact.affected_all)
     for vertex in untouched:
         assert after[vertex] == before[vertex]
@@ -227,25 +227,25 @@ def test_worked_example_updates_only_affected(make):
 
 
 @pytest.mark.parametrize("make", ANALYSES)
-def test_random_edits_match_scratch_both_modes(make):
+def test_random_edits_match_scratch_both_modes(tmp_path, make):
     rng = random.Random(73)
     analysis = make()
     for _ in range(15):
         old = random_graph(rng, max_vertices=18, max_edges=40)
         new = random_edit(rng, old)
         batch = lf.diff_graphs(old, new)
-        scratch = _scratch_snapshot(new, analysis)
+        scratch = _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
         for runner in (lf.run_incremental_naive, lf.run_incremental_optimized):
-            store = _converged_store(old, analysis)
+            store = _converged_store(old, analysis, tmp_path / "old.store")
             runner(new, batch, store, analysis)
             assert store.snapshot() == scratch
 
 
 @pytest.mark.parametrize("make", ANALYSES)
-def test_incremental_is_idempotent(make):
+def test_incremental_is_idempotent(tmp_path, make):
     old, new, batch = _example()
     analysis = make()
-    store = _converged_store(old, analysis)
+    store = _converged_store(old, analysis, tmp_path / "old.store")
     lf.run_incremental_optimized(new, batch, store, analysis)
     settled = store.snapshot()
     rerun = lf.run_incremental_optimized(new, lf.diff_graphs(new, new), store,
@@ -320,7 +320,7 @@ def test_seeded_subgraph_run_reconverges_from_boundary_facts():
 @pytest.mark.parametrize("make", ANALYSES)
 @pytest.mark.parametrize("runner", [lf.run_incremental_naive,
                                     lf.run_incremental_optimized])
-def test_region_made_unreachable_by_edge_deletion(make, runner):
+def test_region_made_unreachable_by_edge_deletion(tmp_path, make, runner):
     # Deleting 1 -> 2 strands the {2, 4} cycle; its edge into the still
     # reachable vertex 3 must not leak manufactured facts into 3.
     old = lf.parse_graph("""
@@ -337,15 +337,15 @@ E 4 2
     new = lf.SuperGraph(old.vertices, set(old.edges) - {(1, 2)})
     batch = lf.diff_graphs(old, new)
     analysis = make()
-    store = _converged_store(old, analysis)
+    store = _converged_store(old, analysis, tmp_path / "old.store")
     runner(new, batch, store, analysis)
-    assert store.snapshot() == _scratch_snapshot(new, analysis)
+    assert store.snapshot() == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
 
 
 @pytest.mark.parametrize("make", ANALYSES)
 @pytest.mark.parametrize("runner", [lf.run_incremental_naive,
                                     lf.run_incremental_optimized])
-def test_entry_demoted_by_added_edge(make, runner):
+def test_entry_demoted_by_added_edge(tmp_path, make, runner):
     # Adding 2 -> 1 raises vertex 1's in-degree, so it stops being a
     # derived entry and the {1, 2} region becomes unreachable.
     old = lf.parse_graph("""
@@ -359,33 +359,33 @@ E 1 2
     assert any(c.kind in {ChangeKind.CHANGE_SOURCE_NODE, ChangeKind.CHANGE_DEST_NODE}
                for c in batch)  # the entry flip must surface as a node change
     analysis = make()
-    store = _converged_store(old, analysis)
+    store = _converged_store(old, analysis, tmp_path / "old.store")
     runner(new, batch, store, analysis)
-    assert store.snapshot() == _scratch_snapshot(new, analysis)
+    assert store.snapshot() == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
 
 
-def test_store_miss_for_boundary_predecessor_raises():
+def test_store_miss_for_boundary_predecessor_raises(tmp_path):
     old, new, batch = _example()
     analysis = lf.reaching_defs()
-    store = _converged_store(old, analysis)
+    store = _converged_store(old, analysis, tmp_path / "old.store")
     store.batch_put({}, {}, purge={3})  # vertex 3 is the unaffected boundary predecessor
     with pytest.raises(lf.StoreInconsistentError):
         lf.run_incremental_naive(new, batch, store, analysis)
 
 
-def test_store_miss_for_warm_start_vertex_raises():
+def test_store_miss_for_warm_start_vertex_raises(tmp_path):
     old, new, batch = _example()
     analysis = lf.reaching_defs()
-    store = _converged_store(old, analysis)
+    store = _converged_store(old, analysis, tmp_path / "old.store")
     store.batch_put({}, {}, purge={8})  # vertex 8 would be warm-started in optimized mode
     with pytest.raises(lf.StoreInconsistentError):
         lf.run_incremental_optimized(new, batch, store, analysis)
 
 
-def test_deleted_vertex_facts_are_purged_only_on_success():
+def test_deleted_vertex_facts_are_purged_only_on_success(tmp_path):
     old, new, batch = _example()
     analysis = lf.reaching_defs()
-    store = _converged_store(old, analysis)
+    store = _converged_store(old, analysis, tmp_path / "old.store")
     store.batch_put({}, {}, purge={3})
     with pytest.raises(lf.StoreInconsistentError):
         lf.run_incremental_naive(new, batch, store, analysis)
@@ -415,7 +415,7 @@ def test_store_of_another_program_is_refused_before_anything_is_written(tmp_path
 @pytest.mark.parametrize("make", ANALYSES)
 @pytest.mark.parametrize("runner", [lf.run_incremental_naive,
                                     lf.run_incremental_optimized])
-def test_edge_into_region_unreachable_before(make, runner):
+def test_edge_into_region_unreachable_before(tmp_path, make, runner):
     # The {3, 4} cycle was unreachable, so its stored OUT facts are the
     # initial element, not transfer(IN). Adding 2 -> 3 reaches it by an
     # addition only: the optimized mode warm-starts both vertices, and
@@ -432,15 +432,15 @@ E 4 3
     new = lf.SuperGraph(old.vertices, set(old.edges) | {(2, 3)})
     batch = lf.diff_graphs(old, new)
     analysis = make()
-    store = _converged_store(old, analysis)
+    store = _converged_store(old, analysis, tmp_path / "old.store")
     runner(new, batch, store, analysis)
-    assert store.snapshot() == _scratch_snapshot(new, analysis)
+    assert store.snapshot() == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
 
 
 @pytest.mark.parametrize("make", ANALYSES)
 @pytest.mark.parametrize("runner", [lf.run_incremental_naive,
                                     lf.run_incremental_optimized])
-def test_full_reset_costs_what_a_scratch_run_costs(make, runner):
+def test_full_reset_costs_what_a_scratch_run_costs(tmp_path, make, runner):
     # Changing the entry of a chain resets every vertex. Only the entry
     # computes at superstep 0; each other vertex computes once, when its
     # predecessor's first fact arrives -- exactly as in a whole-program run.
@@ -454,14 +454,14 @@ def test_full_reset_costs_what_a_scratch_run_costs(make, runner):
     batch = lf.parse_changes_for_new("CN 1 def y d0\n", new)
     assert batch == lf.diff_graphs(old, new)
     analysis = make()
-    store = _converged_store(old, analysis)
+    store = _converged_store(old, analysis, tmp_path / "old.store")
     run = runner(new, batch, store, analysis)
     assert run.impact.affected_all == set(new.vertices)
     scratch = lf.run_optimized(new, analysis)
     counts = (run.result.supersteps, run.result.messages_sent, run.result.fact_updates)
     assert counts == (scratch.supersteps, scratch.messages_sent, scratch.fact_updates)
     assert counts == (n, n - 1, n)
-    assert store.snapshot() == _scratch_snapshot(new, analysis)
+    assert store.snapshot() == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
 
 
 def test_incremental_run_commits_the_store_once(tmp_path, monkeypatch):

@@ -36,6 +36,17 @@ def test_parse_rejects_malformed(tokens):
         parse_stmt_payload(tokens)
 
 
+@pytest.mark.parametrize("tokens,message", [
+    (["use"], "expected: use <var>"),
+    (["assign", "x", "=", "1.5"], "not an integer constant: '1.5'"),
+    (["access"], "expected: access <blockid>"),
+], ids=["use-no-var", "assign-not-int", "access-no-block"])
+def test_parse_error_says_what_is_wrong(tokens, message):
+    with pytest.raises(ValueError) as exc:
+        parse_stmt_payload(tokens)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("payload", [
     "nop", "def x d1", "use y", "assign x = -7",
     "assign x = y * z", "access 3",

@@ -27,24 +27,35 @@ def _put(store, facts):
                     {v: pair[1] for v, pair in facts.items()})
 
 
-def test_put_then_get_round_trip():
-    store = lf.FactStore(lf.reaching_defs())
+def _store_of_payloads(tmp_path, payloads):
+    """An rd store file holding the raw ``{vertex: (IN, OUT)}`` payload
+    bytes, valid or not, opened."""
+    path = tmp_path / "facts.store"
+    new_store(path, lf.reaching_defs())
+    header, _ = split_store(path.read_bytes())
+    path.write_bytes(join_store(header, [(v, slot, pair[slot]) for v, pair in
+                                         sorted(payloads.items()) for slot in (0, 1)]))
+    return lf.FactStore.open(path, lf.reaching_defs())
+
+
+def test_put_then_get_round_trip(tmp_path):
+    store = lf.FactStore(lf.reaching_defs(), tmp_path / "facts.store")
     pair = (_rd(), _rd(("d1", "x")))
     _put(store, {1: pair})
     assert store.batch_get([1]) == [pair]
     assert list(store.vertices()) == [1]
 
 
-def test_get_of_unknown_key_is_none():
-    store = lf.FactStore(lf.reaching_defs())
+def test_get_of_unknown_key_is_none(tmp_path):
+    store = lf.FactStore(lf.reaching_defs(), tmp_path / "facts.store")
     _put(store, {1: (_rd(), _rd())})
     assert store.batch_get([7, 1, 8]) == [None, (_rd(), _rd()), None]
-    assert store.batch_get_out([7, 1]) == [None, _rd()]
+    assert store.batch_get([7, 1])[1][1] == _rd()
 
 
-def test_batch_get_positional_alignment():
+def test_batch_get_positional_alignment(tmp_path):
     rng = random.Random(3)
-    store = lf.FactStore(lf.reaching_defs())
+    store = lf.FactStore(lf.reaching_defs(), tmp_path / "facts.store")
     facts = {v: (random_rd_fact(rng), random_rd_fact(rng)) for v in range(1000)}
     _put(store, facts)
     order = list(facts)
@@ -53,29 +64,29 @@ def test_batch_get_positional_alignment():
     for vertex, pair in zip(order, got):
         assert pair == facts[vertex]
         assert [pair] == store.batch_get([vertex])
-    assert store.batch_get_out(order) == [facts[v][1] for v in order]
+    assert [pair[1] for pair in got] == [facts[v][1] for v in order]
 
 
-def test_empty_batch_put_is_noop():
-    store = lf.FactStore(lf.reaching_defs())
+def test_empty_batch_put_is_noop(tmp_path):
+    store = lf.FactStore(lf.reaching_defs(), tmp_path / "facts.store")
     _put(store, {1: (_rd(), _rd(("d1", "x")))})
     before = store.snapshot()
     store.batch_put({}, {})
     assert store.snapshot() == before
 
 
-def test_overwrite_and_duplicate_in_batch():
+def test_overwrite_and_duplicate_in_batch(tmp_path):
     # A batch holds one IN/OUT pair per vertex, so it cannot name a vertex
     # twice; a later batch replaces the whole pair and leaves others alone.
-    store = lf.FactStore(lf.reaching_defs())
+    store = lf.FactStore(lf.reaching_defs(), tmp_path / "facts.store")
     _put(store, {1: (_rd(), _rd(("d1", "x"))), 2: (_rd(), _rd(("d2", "y")))})
     _put(store, {1: (_rd(("d3", "z")), _rd(("d2", "y")))})
     assert store.batch_get([1, 2]) == [(_rd(("d3", "z")), _rd(("d2", "y"))),
                                        (_rd(), _rd(("d2", "y")))]
 
 
-def test_purge():
-    store = lf.FactStore(lf.reaching_defs())
+def test_purge(tmp_path):
+    store = lf.FactStore(lf.reaching_defs(), tmp_path / "facts.store")
     _put(store, {1: (_rd(), _rd(("d1", "x"))), 2: (_rd(), _rd(("d2", "y")))})
     store.batch_put({}, {}, purge={1})
     assert store.batch_get([1, 2]) == [None, (_rd(), _rd(("d2", "y")))]
@@ -94,6 +105,12 @@ def test_file_round_trip(tmp_path):
     reopened = lf.FactStore.open(path, lf.reaching_defs())
     assert reopened.batch_get([3]) == [pair]
     assert reopened.snapshot() == store.snapshot()
+
+
+def test_open_of_a_missing_file_is_a_store_io_error(tmp_path):
+    path = tmp_path / "absent.store"
+    with pytest.raises(lf.StoreIOError, match=f"cannot read store {path}: "):
+        lf.FactStore.open(path, lf.reaching_defs())
 
 
 def test_fingerprint_mismatch(tmp_path):
@@ -123,13 +140,10 @@ def test_read_fingerprint_reads_only_the_header(tmp_path):
         lf.FactStore.open(path, analysis)
 
 
-def test_decode_error_carries_key():
-    store = lf.FactStore(lf.reaching_defs())
-    store._entries[5] = (b"[]", b"not json")
+def test_decode_error_carries_key(tmp_path):
+    store = _store_of_payloads(tmp_path, {5: (b"[]", b"not json")})
     with pytest.raises(lf.StoreDecodeError, match="the OUT fact of vertex 5: "):
         store.batch_get([5])
-    with pytest.raises(lf.StoreDecodeError, match="the OUT fact of vertex 5: "):
-        store.batch_get_out([5])
 
 
 def test_interrupted_batch_put_preserves_previous_snapshot(tmp_path, monkeypatch):
@@ -257,21 +271,20 @@ def test_equal_payloads_decode_to_one_object(tmp_path):
     reopened = lf.FactStore.open(path, analysis)  # each record its own bytes
     (a, b), (c, d) = reopened.batch_get([1, 2])
     assert a is b is c
-    e, f = reopened.batch_get_out([1, 1])
+    (_, e), (_, f) = reopened.batch_get([1, 1])
     assert e is f and e == a
     assert a == _rd(("d1", "x")) and d == _rd(("d2", "y"))
 
 
-def test_decode_error_names_the_first_corrupt_key_requested():
-    store = lf.FactStore(lf.reaching_defs())
-    _put(store, {1: (_rd(("d1", "x")), _rd(("d1", "x")))})
-    store._entries[7] = (b"[]", b"not json")
-    store._entries[3] = (b"not json", b"[]")
+def test_decode_error_names_the_first_corrupt_key_requested(tmp_path):
+    d1 = lf.reaching_defs().encode(_rd(("d1", "x")))
+    store = _store_of_payloads(tmp_path, {1: (d1, d1), 3: (b"not json", b"[]"),
+                                          7: (b"[]", b"not json")})
+    assert store.batch_get([1]) == [(_rd(("d1", "x")), _rd(("d1", "x")))]
     with pytest.raises(lf.StoreDecodeError, match="the OUT fact of vertex 7: "):
         store.batch_get([1, 7, 3])
     with pytest.raises(lf.StoreDecodeError, match="the IN fact of vertex 3"):
         store.batch_get([3, 7])
-    assert store.batch_get_out([3]) == [_rd()]  # reads no IN payload
 
 
 def test_shared_fact_objects_write_the_bytes_of_distinct_ones(tmp_path):
@@ -293,14 +306,14 @@ def test_shared_fact_objects_write_the_bytes_of_distinct_ones(tmp_path):
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
-def test_consecutive_identical_facts_are_encoded_once(monkeypatch):
+def test_consecutive_identical_facts_are_encoded_once(tmp_path, monkeypatch):
     analysis = lf.reaching_defs()
     encoded = []
     real = type(analysis).encode
     monkeypatch.setattr(type(analysis), "encode",
                         lambda self, fact: encoded.append(fact) or real(self, fact))
     a, b = _rd(("d1", "x")), _rd(("d2", "x"))
-    store = lf.FactStore(analysis)
+    store = lf.FactStore(analysis, tmp_path / "facts.store")
     # 1: IN is its OUT; 2: IN is 1's OUT; 3: an equal but distinct object.
     store.batch_put({1: a, 2: a, 3: _rd(("d2", "x"))}, {1: a, 2: b, 3: b})
     assert encoded == [a, b, _rd(("d2", "x"))]
@@ -308,7 +321,7 @@ def test_consecutive_identical_facts_are_encoded_once(monkeypatch):
     assert snap[1] == (snap[2][0], snap[2][0]) and snap[2][1] == snap[3][0] == snap[3][1]
 
 
-def test_shared_facts_far_apart_are_encoded_once(monkeypatch):
+def test_shared_facts_far_apart_are_encoded_once(tmp_path, monkeypatch):
     analysis = lf.reaching_defs()
     encoded = []
     real = type(analysis).encode
@@ -318,10 +331,10 @@ def test_shared_facts_far_apart_are_encoded_once(monkeypatch):
     # a and b come back after other objects, in both slots, never adjacent.
     in_facts = {1: a, 2: b, 3: c, 4: a, 5: b}
     out_facts = {1: c, 2: a, 3: b, 4: c, 5: a}
-    store = lf.FactStore(analysis)
+    store = lf.FactStore(analysis, tmp_path / "a.store")
     store.batch_put(in_facts, out_facts)
     assert encoded == [a, c, b]
-    fresh = lf.FactStore(analysis)
+    fresh = lf.FactStore(analysis, tmp_path / "b.store")
     fresh.batch_put({v: _rd(*f.defs) for v, f in in_facts.items()},
                     {v: _rd(*f.defs) for v, f in out_facts.items()})
     assert store.snapshot() == fresh.snapshot()

@@ -3,7 +3,8 @@
 A ``SuperGraph`` is an already-inlined interprocedural CFG: vertices carry
 statement payloads, edges are directed, and the entry set is either the
 explicitly flagged vertices or, when none are flagged, every vertex with
-in-degree zero. Graphs are immutable after construction.
+in-degree zero. Graphs are immutable after construction and hold only
+their adjacency, so duplicate input edges collapse.
 
 Edits between two versions are normalized into eight atomic change kinds,
 classified by whether an endpoint of the touched edge is being created,
@@ -58,8 +59,9 @@ class VertexAttribute:
 class SuperGraph:
     """An immutable directed graph of statement vertices.
 
-    Self-loops are permitted. Predecessor and successor lists are
-    precomputed, sorted by vertex id for deterministic iteration.
+    The graph is its adjacency: sorted predecessor and successor tuples
+    that hold each edge once, so ``has_edge`` costs the out-degree of its
+    source. Self-loops are permitted.
     """
 
     def __init__(self, vertices: Mapping[VertexId, VertexAttribute],
@@ -68,12 +70,9 @@ class SuperGraph:
         if self.vertices:
             _check_vertex_id(min(self.vertices))
             _check_vertex_id(max(self.vertices))
-        self.edges: frozenset[tuple[VertexId, VertexId]] = frozenset(edges)
-        # Lists while the sweep appends, then tuples in place.
         preds: dict = {vid: [] for vid in self.vertices}
         succs: dict = {vid: [] for vid in self.vertices}
-        # One sweep in edge order appends every list in ascending id order.
-        for (u, v) in sorted(self.edges):
+        for (u, v) in edges:
             if u not in succs:
                 raise UnknownVertexError(f"edge ({u}, {v}) references unknown vertex {u}")
             if v not in preds:
@@ -82,9 +81,10 @@ class SuperGraph:
             preds[v].append(u)
         for table in (preds, succs):
             for vid, adjacent in table.items():
-                table[vid] = tuple(adjacent)
+                table[vid] = tuple(sorted(set(adjacent)) if len(adjacent) > 1 else adjacent)
         self._preds: dict[VertexId, tuple[VertexId, ...]] = preds
         self._succs: dict[VertexId, tuple[VertexId, ...]] = succs
+        self.n_edges: int = sum(map(len, succs.values()))
         flagged = frozenset(vid for vid, attr in self.vertices.items() if attr.is_entry)
         if flagged:
             self.entries = flagged
@@ -98,7 +98,7 @@ class SuperGraph:
         return self._succs[vid]
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return (u, v) in self.edges
+        return v in self._succs.get(u, ())
 
     def __contains__(self, vid: object) -> bool:
         return vid in self.vertices
@@ -109,10 +109,10 @@ class SuperGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuperGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self._succs == other._succs
 
     def __repr__(self) -> str:
-        return f"SuperGraph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
+        return f"SuperGraph(|V|={len(self.vertices)}, |E|={self.n_edges})"
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +164,9 @@ def render_graph(g: SuperGraph) -> str:
 
     Raises ``GraphError`` for a payload the format cannot carry.
     """
-    lines = []
-    for vid in sorted(g.vertices):
-        lines.append(f"V {vid} {_render_payload(g.vertices[vid])}")
-    for (u, v) in sorted(g.edges):
-        lines.append(f"E {u} {v}")
+    ids = sorted(g.vertices)
+    lines = [f"V {vid} {_render_payload(g.vertices[vid])}" for vid in ids]
+    lines += [f"E {u} {v}" for u in ids for v in g.succs(u)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -379,12 +377,19 @@ def diff_graphs(old: SuperGraph, new: SuperGraph) -> ChangeBatch:
                and (attr != was or (x in old.entries) != (x in new.entries))}
     raw = _RawEdits(
         deleted_nodes=old.vertices.keys() - new.vertices.keys(),
-        deleted_edges=set(old.edges - new.edges),
+        deleted_edges=_edges_only_in(old, new),
         changed_nodes=changed,
         added_nodes={x: new.vertices[x] for x in new.vertices.keys() - old.vertices.keys()},
-        added_edges=set(new.edges - old.edges),
+        added_edges=_edges_only_in(new, old),
     )
     return _classify_edits(new, raw)
+
+
+def _edges_only_in(g: SuperGraph, other: SuperGraph) -> set[tuple[VertexId, VertexId]]:
+    """The edges of ``g`` that ``other`` lacks, read source by source."""
+    return {(u, v) for u, succs in g._succs.items()
+            if succs != (others := other._succs.get(u, ()))
+            for v in set(succs).difference(others)}
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def cmd_analyze(args) -> int:
             "analysis": analysis.name,
             "algorithm": algorithm.value,
             "workers": args.workers,
-            "graph": {"vertices": len(graph.vertices), "edges": len(graph.edges)},
+            "graph": {"vertices": len(graph.vertices), "edges": graph.n_edges},
             "run": result.to_report(),
         }
         _emit_report(report, report_file)
@@ -206,7 +206,7 @@ def cmd_incremental(args) -> int:
         run = runner(graph, batch, store, analysis, superstep_cap=args.superstep_cap)
         impact = run.impact
         n_vertices = max(1, len(graph.vertices))
-        n_edges = max(1, len(graph.edges))
+        n_edges = max(1, graph.n_edges)
         # Closed under successors, the affected set's out-edges are its induced edges.
         sub_vertices = len(impact.affected_all)
         sub_edges = sum(len(graph.succs(k)) for k in impact.affected_all)

@@ -1,9 +1,12 @@
 """The change classifier as it was when it still read the old program.
 
 ``diff_graphs`` and ``parse_changes_for_new`` here are the earlier
-implementations, kept verbatim: ``_classify_edits`` queries the old version
-itself, as a real ``SuperGraph`` in ``diff_graphs`` or as ``_OldFromNew``, a
-view of it rebuilt from the updated graph and the change lines. The package's
+implementations, kept verbatim but for one thing: ``diff_graphs`` takes
+plain set differences of ``support.edge_set``, built from predecessor
+tuples, so it checks the package's per-source diff of successor tuples.
+``_classify_edits`` queries the old version itself, as a real
+``SuperGraph`` in ``diff_graphs`` or as ``_OldFromNew``, a view of it
+rebuilt from the updated graph and the change lines. The package's
 classifier reads only the updated graph; ``tests/test_cfg.py`` checks that
 both give the same batch or the same error. Quadratic in the added vertices
 and edges, so keep its inputs small.
@@ -24,6 +27,7 @@ from latticeflow.cfg import (
     _parse_vertex_id,
 )
 from latticeflow.errors import ChangeConflictError, GraphParseError
+from support import edge_set
 
 
 @dataclass
@@ -126,11 +130,11 @@ def diff_graphs(old: SuperGraph, new: SuperGraph) -> ChangeBatch:
             changed[x] = new.vertices[x]
     raw = _RawEdits(
         deleted_nodes=old_ids - new_ids,
-        deleted_edges={(u, v) for (u, v) in old.edges - new.edges
+        deleted_edges={(u, v) for (u, v) in edge_set(old) - edge_set(new)
                        if u in surviving and v in surviving},
         changed_nodes=changed,
         added_nodes={x: new.vertices[x] for x in new_ids - old_ids},
-        added_edges=set(new.edges - old.edges),
+        added_edges=edge_set(new) - edge_set(old),
     )
     return _classify_edits(old, raw)
 

@@ -18,6 +18,7 @@ from latticeflow.incremental import build_impact
 from support import (
     ConcreteLru,
     all_solvers,
+    edge_set,
     fact_pairs,
     fixture_path,
     random_edit,
@@ -123,7 +124,7 @@ def test_criterion_4_superstep_economy(tmp_path):
     lines += [f"V {i} use x" for i in range(2, 101)]
     lines += [f"E {i} {i + 1}" for i in range(1, 100)]
     old = lf.parse_graph("\n".join(lines))
-    new = lf.SuperGraph(old.vertices, set(old.edges) | {(5, 10)})
+    new = lf.SuperGraph(old.vertices, edge_set(old) | {(5, 10)})
     batch = lf.diff_graphs(old, new)
     analysis = lf.reaching_defs()
 

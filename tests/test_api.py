@@ -1,7 +1,8 @@
 """The public API, pinned: a name added to or removed from the package's
-exports, or from a fact store's public members, and a parameter renamed,
-reordered, added or removed in a runner or in the store's constructor,
-fails these tests, so every change to the API shows in review."""
+exports, or from a fact store's or a graph's public members, and a
+parameter renamed, reordered, added or removed in a runner or in the
+store's constructor, fails these tests, so every change to the API shows
+in review."""
 
 import inspect
 import types
@@ -52,6 +53,15 @@ STORE_MEMBERS = {
 def test_store_members_are_pinned(tmp_path):
     store = lf.FactStore(lf.reaching_defs(), tmp_path / "facts.store")
     assert {name for name in dir(store) if not name.startswith("_")} == STORE_MEMBERS
+
+
+# The graph is its adjacency: a second edge representation would show here.
+GRAPH_MEMBERS = {"vertices", "entries", "preds", "succs", "has_edge", "n_edges"}
+
+
+def test_graph_members_are_pinned():
+    g = lf.SuperGraph({}, ())
+    assert {name for name in dir(g) if not name.startswith("_")} == GRAPH_MEMBERS
 
 
 P, K = "POSITIONAL_OR_KEYWORD", "KEYWORD_ONLY"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import classify_reference
 import latticeflow as lf
 from latticeflow.cfg import ChangeKind
-from support import apply_batch, load_fixture, random_edit, random_graph
+from support import apply_batch, edge_set, load_fixture, random_edit, random_graph
 
 DIAMOND = """
 V 1 entry def x d1
@@ -26,7 +26,7 @@ E 3 4
 def test_parse_minimal_chain(edges):
     g = lf.parse_graph("V 1 entry def x d1\nV 2 def x d2\n" + edges)
     assert set(g.vertices) == {1, 2}
-    assert g.edges == frozenset({(1, 2)})
+    assert edge_set(g) == frozenset({(1, 2)})
     assert g.preds(2) == (1,) and g.succs(1) == (2,)
     assert g.entries == frozenset({1})
 
@@ -136,8 +136,15 @@ def test_entries_fall_back_to_in_degree_zero():
 
 
 def test_self_loops_permitted():
-    g = lf.parse_graph("V 1 entry def x d1\nE 1 1\n")
-    assert g.preds(1) == (1,)
+    parsed = lf.parse_graph("V 1 entry def x d1\nE 1 1\n")
+    # The constructor itself holds a repeated edge once.
+    constructed = lf.SuperGraph(parsed.vertices, [(1, 1), (1, 1)])
+    for g in (parsed, constructed):
+        assert g.preds(1) == (1,)
+        assert g.succs(1) == (1,) and g.n_edges == 1
+        assert lf.render_graph(g).splitlines().count("E 1 1") == 1
+        # A DE line may name a deleted vertex: no KeyError for either end.
+        assert not g.has_edge(9, 1) and not g.has_edge(1, 9)
 
 
 def test_render_parse_round_trip_random():
@@ -157,7 +164,7 @@ def test_apply_delete_source_node_on_diamond():
     assert kinds == {ChangeKind.DELETE_SOURCE_NODE, ChangeKind.DELETE_DEST_NODE}
     applied = apply_batch(g, batch)
     assert 2 not in applied.vertices
-    assert applied.edges == frozenset({(1, 3), (3, 4)})
+    assert edge_set(applied) == frozenset({(1, 3), (3, 4)})
 
 
 def test_apply_worked_example_fixture():
@@ -174,7 +181,8 @@ def test_diff_identity_is_empty():
 
 def test_diff_single_added_edge():
     g = lf.parse_graph(DIAMOND)
-    plus = lf.SuperGraph(g.vertices, set(g.edges) | {(2, 3)})
+    plus = lf.SuperGraph(g.vertices, edge_set(g) | {(2, 3)})
+    assert plus != g  # equality compares edges, not only vertices
     batch = lf.diff_graphs(g, plus)
     assert batch == (lf.AtomicChange(ChangeKind.ADD_EDGE, u=2, v=3),)
 
@@ -354,7 +362,7 @@ def test_entry_flag_change_is_a_node_change():
     g = lf.parse_graph("V 1 entry nop\nV 2 nop\nE 1 2\n")
     flagged = lf.SuperGraph(
         {1: g.vertices[1], 2: lf.VertexAttribute(stmts=(), is_entry=True)},
-        g.edges)
+        edge_set(g))
     batch = lf.diff_graphs(g, flagged)
     assert len(batch) == 1
     assert batch[0].kind in {ChangeKind.CHANGE_SOURCE_NODE, ChangeKind.CHANGE_DEST_NODE}
@@ -370,6 +378,8 @@ def test_adjacency_is_sorted_whatever_the_edge_order():
     for vid in vids:
         assert g.preds(vid) == tuple(sorted({u for (u, v) in edges if v == vid}))
         assert g.succs(vid) == tuple(sorted({v for (u, v) in edges if u == vid}))
+    rendered = [line for line in lf.render_graph(g).splitlines() if line.startswith("E ")]
+    assert rendered == [f"E {u} {v}" for (u, v) in sorted(set(edges))]
 
 
 def test_rendering_two_statements_is_a_graph_error():

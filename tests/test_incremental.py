@@ -15,7 +15,7 @@ import latticeflow as lf
 from latticeflow import cli
 from latticeflow.cfg import ChangeKind
 from latticeflow.incremental import build_impact
-from support import load_fixture, new_store, random_edit, random_graph
+from support import edge_set, load_fixture, new_store, random_edit, random_graph
 
 ANALYSES = [lf.reaching_defs, lf.const_prop, lf.lru_must_cache]
 
@@ -128,7 +128,7 @@ def test_impact_optimized_worked_example():
 
 def test_impact_all_affected_has_no_boundary():
     g = load_fixture("diamond_rd.cfg")
-    plus = lf.SuperGraph(g.vertices, set(g.edges) | {(4, 1)})
+    plus = lf.SuperGraph(g.vertices, edge_set(g) | {(4, 1)})
     batch = lf.diff_graphs(g, plus)  # 4 -> 1 closes a cycle over everything
     impact = build_impact(batch, plus, per_kind=False)
     assert impact.affected_all == set(plus.vertices)
@@ -144,7 +144,7 @@ def test_closure_soundness_no_edge_escapes():
         affected = []
         for per_kind in (False, True):
             impact = build_impact(batch, new, per_kind=per_kind)
-            for (u, v) in new.edges:
+            for (u, v) in edge_set(new):
                 if u in impact.affected_all:
                     assert v in impact.affected_all
             affected.append(impact.affected_all)
@@ -168,7 +168,7 @@ def test_subgraph_edges_are_the_induced_ones(capsys, tmp_path):
         new_cfg.write_text(lf.render_graph(new))
         changes.write_text(lf.render_changes(batch))
         affected = build_impact(batch, new, per_kind=False).affected_all
-        expected = {(u, v) for (u, v) in new.edges if u in affected and v in affected}
+        expected = {(u, v) for (u, v) in edge_set(new) if u in affected and v in affected}
         for mode in ("naive", "opt"):
             assert cli.main(["analyze", "--cfg", str(old_cfg), "--analysis", "rd",
                              "--store", str(store)]) == cli.EXIT_OK
@@ -202,7 +202,7 @@ def test_empty_batch_touches_nothing(tmp_path, runner):
                                     lf.run_incremental_optimized])
 def test_added_edge_on_diamond_matches_scratch(tmp_path, make, runner):
     old = load_fixture("diamond_rd.cfg")
-    new = lf.SuperGraph(old.vertices, set(old.edges) | {(2, 3)})
+    new = lf.SuperGraph(old.vertices, edge_set(old) | {(2, 3)})
     batch = lf.diff_graphs(old, new)
     analysis = make()
     store = _converged_store(old, analysis, tmp_path / "old.store")
@@ -286,7 +286,7 @@ def test_add_only_batches_satisfy_warm_start_precondition(make):
 
 def _add_only_edit(rng, old):
     vertices = dict(old.vertices)
-    edges = set(old.edges)
+    edges = edge_set(old)
     ids = sorted(vertices)
     for _ in range(rng.randint(1, 3)):
         edges.add((rng.choice(ids), rng.choice(ids)))
@@ -334,7 +334,7 @@ E 2 3
 E 2 4
 E 4 2
 """)
-    new = lf.SuperGraph(old.vertices, set(old.edges) - {(1, 2)})
+    new = lf.SuperGraph(old.vertices, edge_set(old) - {(1, 2)})
     batch = lf.diff_graphs(old, new)
     analysis = make()
     store = _converged_store(old, analysis, tmp_path / "old.store")
@@ -354,7 +354,7 @@ V 1 def a d1
 V 2 use a
 E 1 2
 """)
-    new = lf.SuperGraph(old.vertices, set(old.edges) | {(2, 1)})
+    new = lf.SuperGraph(old.vertices, edge_set(old) | {(2, 1)})
     batch = lf.diff_graphs(old, new)
     assert any(c.kind in {ChangeKind.CHANGE_SOURCE_NODE, ChangeKind.CHANGE_DEST_NODE}
                for c in batch)  # the entry flip must surface as a node change
@@ -429,7 +429,7 @@ E 1 2
 E 3 4
 E 4 3
 """)
-    new = lf.SuperGraph(old.vertices, set(old.edges) | {(2, 3)})
+    new = lf.SuperGraph(old.vertices, edge_set(old) | {(2, 3)})
     batch = lf.diff_graphs(old, new)
     analysis = make()
     store = _converged_store(old, analysis, tmp_path / "old.store")
@@ -450,7 +450,7 @@ def test_full_reset_costs_what_a_scratch_run_costs(tmp_path, make, runner):
     old = lf.parse_graph(text)
     vertices = dict(old.vertices)
     vertices[1] = lf.VertexAttribute(stmts=(lf.DefStmt("y", "d0"),))
-    new = lf.SuperGraph(vertices, old.edges)
+    new = lf.SuperGraph(vertices, edge_set(old))
     batch = lf.parse_changes_for_new("CN 1 def y d0\n", new)
     assert batch == lf.diff_graphs(old, new)
     analysis = make()

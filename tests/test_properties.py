@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticeflow as lf
-from support import new_store
+from support import edge_set, new_store
 
 ANALYSES = [lf.reaching_defs, lf.const_prop, lambda: lf.lru_must_cache(sets=2, assoc=2)]
 
@@ -85,7 +85,7 @@ def edited(draw, old):
     shape = BATCH_SHAPES[draw(st.sampled_from(sorted(BATCH_SHAPES)))]
     kinds = draw(st.sets(st.sampled_from(shape), min_size=1))
     vertices = dict(old.vertices)
-    edges = set(old.edges)
+    edges = edge_set(old)
     ids = sorted(vertices)
     if "delete-vertex" in kinds and len(ids) > 1:
         for vid in draw(st.sets(st.sampled_from(ids), min_size=1,

@@ -10,14 +10,13 @@ Commands:
     verify       run all four solvers and check they agree vertex by vertex
 
 Exit codes: 0 success/verified, 1 verification divergence, 2 usage or
-input/store errors, 3 non-convergence. Reports carry no wall-clock fields,
-so identical inputs produce byte-identical outputs.
+input/store errors, 3 non-convergence. Reports go to stdout only and carry
+no wall-clock fields, so identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -89,8 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--sets", type=int, default=4, help=_SETS_HELP)
     p_an.add_argument("--assoc", type=int, default=2,
                       help="cache associativity (cache analysis)")
-    p_an.add_argument("--superstep-cap", type=_positive_int, default=None)
-    p_an.add_argument("--report", default=None, help="also write the report here")
     p_an.set_defaults(func=cmd_analyze)
 
     p_diff = sub.add_parser("diff", help="diff two CFG files into a change file")
@@ -105,8 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inc.add_argument("--store", required=True, help="fact store from the old version")
     p_inc.add_argument("--mode", choices=["naive", "opt"], default="opt")
     p_inc.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
-    p_inc.add_argument("--superstep-cap", type=_positive_int, default=None)
-    p_inc.add_argument("--report", default=None)
     p_inc.set_defaults(func=cmd_incremental)
 
     p_ver = sub.add_parser("verify", help="cross-check all four solvers")
@@ -114,8 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--analysis", required=True)
     p_ver.add_argument("--sets", type=int, default=4, help=_SETS_HELP)
     p_ver.add_argument("--assoc", type=int, default=2)
-    p_ver.add_argument("--seed", type=int, default=_CHAOTIC_SEED,
-                       help="chaotic-order seed")
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -151,37 +144,24 @@ def _load_graph(path: str):
     return parse_graph(_read_input(path))
 
 
-def _open_report(report_path: str | None):
-    """The ``--report`` file, opened before the run so that an unwritable
-    path fails before any store is written."""
-    if not report_path:
-        return contextlib.nullcontext()
-    return open(report_path, "w", encoding="utf-8")
-
-
-def _emit_report(report: dict, report_file) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if report_file is not None:
-        report_file.write(text + "\n")
+def _emit_report(report: dict) -> None:
+    print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def cmd_analyze(args) -> int:
     graph = _load_graph(args.cfg)
     analysis = _make_analysis(args)
     algorithm = Algorithm.CLASSIC if args.algo == "classic" else Algorithm.OPTIMIZED
-    with _open_report(args.report) as report_file:
-        result = engine.run(graph, analysis, algorithm, superstep_cap=args.superstep_cap)
-        FactStore(analysis, args.store).batch_put(result.in_facts, result.out_facts)
-        report = {
-            "command": "analyze",
-            "analysis": analysis.name,
-            "algorithm": algorithm.value,
-            "workers": args.workers,
-            "graph": {"vertices": len(graph.vertices), "edges": graph.n_edges},
-            "run": result.to_report(),
-        }
-        _emit_report(report, report_file)
+    result = engine.run(graph, analysis, algorithm)
+    FactStore(analysis, args.store).batch_put(result.in_facts, result.out_facts)
+    _emit_report({
+        "command": "analyze",
+        "analysis": analysis.name,
+        "algorithm": algorithm.value,
+        "workers": args.workers,
+        "graph": {"vertices": len(graph.vertices), "edges": graph.n_edges},
+        "run": result.to_report(),
+    })
     return EXIT_OK
 
 
@@ -202,36 +182,34 @@ def cmd_incremental(args) -> int:
     batch = parse_changes_for_new(_read_input(args.changes), graph)
     runner = (incremental.run_incremental_optimized if args.mode == "opt"
               else incremental.run_incremental_naive)
-    with _open_report(args.report) as report_file:
-        run = runner(graph, batch, store, analysis, superstep_cap=args.superstep_cap)
-        impact = run.impact
-        n_vertices = max(1, len(graph.vertices))
-        n_edges = max(1, graph.n_edges)
-        # Closed under successors, the affected set's out-edges are its induced edges.
-        sub_vertices = len(impact.affected_all)
-        sub_edges = sum(len(graph.succs(k)) for k in impact.affected_all)
-        report = {
-            "command": "incremental",
-            "mode": args.mode,
-            "analysis": analysis.name,
-            "atomic_changes": len(batch),
-            "affected": {
-                "all": len(impact.affected_all),
-                "add": len(impact.affected_add),
-                "delete": len(impact.affected_delete),
-                "change": len(impact.affected_change),
-                "reused": len(impact.reuse),
-                "purged": len(run.purged),
-            },
-            "sub_cfg": {
-                "vertices": sub_vertices,
-                "edges": sub_edges,
-                "vertex_pct": round(100.0 * sub_vertices / n_vertices, 3),
-                "edge_pct": round(100.0 * sub_edges / n_edges, 3),
-            },
-            "run": run.result.to_report(),
-        }
-        _emit_report(report, report_file)
+    run = runner(graph, batch, store, analysis)
+    impact = run.impact
+    n_vertices = max(1, len(graph.vertices))
+    n_edges = max(1, graph.n_edges)
+    # Closed under successors, the affected set's out-edges are its induced edges.
+    sub_vertices = len(impact.affected_all)
+    sub_edges = sum(len(graph.succs(k)) for k in impact.affected_all)
+    _emit_report({
+        "command": "incremental",
+        "mode": args.mode,
+        "analysis": analysis.name,
+        "atomic_changes": len(batch),
+        "affected": {
+            "all": len(impact.affected_all),
+            "add": len(impact.affected_add),
+            "delete": len(impact.affected_delete),
+            "change": len(impact.affected_change),
+            "reused": len(impact.reuse),
+            "purged": len(run.purged),
+        },
+        "sub_cfg": {
+            "vertices": sub_vertices,
+            "edges": sub_edges,
+            "vertex_pct": round(100.0 * sub_vertices / n_vertices, 3),
+            "edge_pct": round(100.0 * sub_edges / n_edges, 3),
+        },
+        "run": run.result.to_report(),
+    })
     return EXIT_OK
 
 
@@ -242,7 +220,7 @@ def cmd_verify(args) -> int:
         ("classic", engine.run_classic(graph, analysis)),
         ("optimized", engine.run_optimized(graph, analysis)),
         ("sequential", sequential.run_sequential(graph, analysis)),
-        ("chaotic", sequential.run_chaotic(graph, analysis, args.seed)),
+        ("chaotic", sequential.run_chaotic(graph, analysis, _CHAOTIC_SEED)),
     ]
     base_name, base = runs[0]
     for name, result in runs[1:]:

@@ -55,9 +55,8 @@ bit-reproducible. Facts are immutable (see ``lattice``), so one fact
 object may reach many vertices.
 
 Termination is only guaranteed for monotone clients over finite-height
-lattices, so every run carries a superstep cap (``superstep_cap``, default
-ten times the vertices it covers) and raises ``NonConvergenceError``
-instead of looping.
+lattices, so every run stops after ten supersteps per vertex it covers and
+raises ``NonConvergenceError`` instead of looping.
 """
 
 from __future__ import annotations
@@ -106,31 +105,26 @@ class AnalysisResult:
         return self.in_facts == other.in_facts and self.out_facts == other.out_facts
 
 
-def run(g: SuperGraph, analysis: Analysis, algorithm: Algorithm, *,
-        superstep_cap: int | None = None) -> AnalysisResult:
+def run(g: SuperGraph, analysis: Analysis, algorithm: Algorithm) -> AnalysisResult:
     """Whole-program analysis with the given algorithm: every vertex resets."""
     require_entries(g)
-    return _execute(g, analysis, algorithm, *_seeds(g, analysis, g.vertices, {}, {}),
-                    superstep_cap=superstep_cap)
+    return _execute(g, analysis, algorithm, *_seeds(g, analysis, g.vertices, {}, {}))
 
 
-def run_classic(g: SuperGraph, analysis: Analysis, *,
-                superstep_cap: int | None = None) -> AnalysisResult:
+def run_classic(g: SuperGraph, analysis: Analysis) -> AnalysisResult:
     """Whole-program analysis with the gather-all worklist algorithm."""
-    return run(g, analysis, Algorithm.CLASSIC, superstep_cap=superstep_cap)
+    return run(g, analysis, Algorithm.CLASSIC)
 
 
-def run_optimized(g: SuperGraph, analysis: Analysis, *,
-                  superstep_cap: int | None = None) -> AnalysisResult:
+def run_optimized(g: SuperGraph, analysis: Analysis) -> AnalysisResult:
     """Whole-program analysis with the delta-message worklist algorithm."""
-    return run(g, analysis, Algorithm.OPTIMIZED, superstep_cap=superstep_cap)
+    return run(g, analysis, Algorithm.OPTIMIZED)
 
 
 def seed_and_run(g: SuperGraph, analysis: Analysis,
                  reset: Collection[VertexId],
                  warm: Mapping[VertexId, tuple[Fact, Fact]],
-                 boundary: Mapping[VertexId, Sequence[tuple[VertexId, Fact]]], *,
-                 superstep_cap: int | None = None) -> AnalysisResult:
+                 boundary: Mapping[VertexId, Sequence[tuple[VertexId, Fact]]]) -> AnalysisResult:
     """The optimized algorithm on the vertices of ``reset`` and ``warm``.
 
     A ``reset`` vertex starts as in a whole-program run; a ``warm`` vertex
@@ -150,8 +144,7 @@ def seed_and_run(g: SuperGraph, analysis: Analysis,
     escapes = sorted((k, d) for k in seeded for d in g.succs(k) if d not in seeded)
     if escapes:
         raise SeedMismatchError(f"seeded vertices have unseeded successors: edges {escapes}")
-    return _execute(g, analysis, Algorithm.OPTIMIZED,
-                    *_seeds(g, analysis, reset, warm, boundary), superstep_cap=superstep_cap)
+    return _execute(g, analysis, Algorithm.OPTIMIZED, *_seeds(g, analysis, reset, warm, boundary))
 
 
 def require_entries(g: SuperGraph) -> None:
@@ -179,19 +172,16 @@ def _execute(g: SuperGraph, analysis: Analysis, algorithm: Algorithm,
              in_facts: dict[VertexId, Fact],
              out_facts: dict[VertexId, Fact | None],
              inbox: dict[VertexId, list[Fact]],
-             active: set[VertexId], *,
-             superstep_cap: int | None) -> AnalysisResult:
+             active: set[VertexId]) -> AnalysisResult:
     """Run barriered supersteps over one vertex-state table until quiescence.
 
     The table's vertices are the keys of ``in_facts``; both fact maps are
     updated in place. Each ``inbox`` list holds facts in ascending sender
     order; later supersteps keep that order because active vertices are
-    processed in ascending id order. ``superstep_cap`` of ``None`` allows
-    ten supersteps per table vertex.
+    processed in ascending id order. A run that is still active after ten
+    supersteps per table vertex raises ``NonConvergenceError``.
     """
-    if superstep_cap is not None and superstep_cap < 1:
-        raise ValueError("superstep_cap must be >= 1")
-    cap = max(1, 10 * len(in_facts)) if superstep_cap is None else superstep_cap
+    cap = max(1, 10 * len(in_facts))
     classic = algorithm is Algorithm.CLASSIC
     initial, entry = analysis.initial(), analysis.entry_fact()
     preds, succs_of, entries, vertices = g.preds, g.succs, g.entries, g.vertices

@@ -35,10 +35,10 @@ The store holds one IN/OUT pair per vertex and must hold exactly the old
 version's vertices; any other store is refused before it is read or
 written. A warm-started vertex reads its pair, and so does a boundary
 predecessor, which seeds only its OUT. Both strategies run the engine's
-optimized algorithm, which takes only a superstep cap (no worker count),
-and finish with one store commit that writes the affected vertices' pairs
-and purges deleted vertices; the resulting store equals a from-scratch
-analysis of the updated graph.
+optimized algorithm, which takes no worker count, and finish with one
+store commit that writes the affected vertices' pairs and purges deleted
+vertices; the resulting store equals a from-scratch analysis of the
+updated graph.
 """
 
 from __future__ import annotations
@@ -184,24 +184,19 @@ def build_impact(batch: ChangeBatch, new_graph: SuperGraph, *, per_kind: bool) -
 
 
 def run_incremental_naive(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore,
-                          analysis: Analysis, *,
-                          superstep_cap: int | None = None) -> IncrementalRun:
+                          analysis: Analysis) -> IncrementalRun:
     """Re-analyze the affected vertices from the initial element."""
-    return _run_incremental(new_graph, batch, store, analysis,
-                            superstep_cap=superstep_cap, per_kind=False)
+    return _run_incremental(new_graph, batch, store, analysis, per_kind=False)
 
 
 def run_incremental_optimized(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore,
-                              analysis: Analysis, *,
-                              superstep_cap: int | None = None) -> IncrementalRun:
+                              analysis: Analysis) -> IncrementalRun:
     """Re-analyze the affected vertices, warm-starting add-only vertices."""
-    return _run_incremental(new_graph, batch, store, analysis,
-                            superstep_cap=superstep_cap, per_kind=True)
+    return _run_incremental(new_graph, batch, store, analysis, per_kind=True)
 
 
 def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore,
-                     analysis: Analysis, *, superstep_cap: int | None,
-                     per_kind: bool) -> IncrementalRun:
+                     analysis: Analysis, *, per_kind: bool) -> IncrementalRun:
     old = (set(new_graph.vertices) - added_vertices(batch)) | deleted_vertices(batch)
     stored = store.vertices()
     if stored != old:
@@ -218,14 +213,14 @@ def _run_incremental(new_graph: SuperGraph, batch: ChangeBatch, store: FactStore
         return IncrementalRun(impact=empty, result=zero, purged=frozenset())
 
     impact = build_impact(batch, new_graph, per_kind=per_kind)
-    result = _resume(new_graph, impact, store, analysis, superstep_cap)
+    result = _resume(new_graph, impact, store, analysis)
     purged = deleted_vertices(batch)
     store.batch_put(result.in_facts, result.out_facts, purge=purged)
     return IncrementalRun(impact=impact, result=result, purged=purged)
 
 
 def _resume(new_graph: SuperGraph, impact: ImpactResult, store: FactStore,
-            analysis: Analysis, superstep_cap: int | None) -> AnalysisResult:
+            analysis: Analysis) -> AnalysisResult:
     """The engine run on the affected set, seeded from the store."""
     # A whole-program run only ever processes vertices reachable from the
     # entries; everything else keeps the initial element. Affected vertices
@@ -244,5 +239,4 @@ def _resume(new_graph: SuperGraph, impact: ImpactResult, store: FactStore,
     boundary: dict[VertexId, list[tuple[VertexId, Fact]]] = {}
     for (k, p), (_, out) in zip(wanted, fetched):
         boundary.setdefault(k, []).append((p, out))
-    return seed_and_run(new_graph, analysis, impact.affected_all - warm.keys(), warm,
-                        boundary, superstep_cap=superstep_cap)
+    return seed_and_run(new_graph, analysis, impact.affected_all - warm.keys(), warm, boundary)

@@ -11,10 +11,11 @@ object once, however many IN and OUT slots of the batch hold it.
 A store is one file, a single snapshot: a header (magic, format version,
 fingerprint), then two length-prefixed records per vertex, IN then OUT,
 with vertices ascending. A file whose records are unpaired or out of
-that order is refused. Every commit writes the records to a temporary file
-as it packs them, so it holds the stored bytes once, and then renames the
-file over the old one, so an interrupted write leaves the previous snapshot
-intact. One writer per store handle; batch calls are not re-entrant.
+that order is refused. Every commit writes the records to its own
+temporary file beside the store as it packs them, so it holds the stored
+bytes once, and then renames the file over the old one, so an interrupted
+write leaves the previous snapshot intact. One writer per store handle;
+batch calls are not re-entrant.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
+import tempfile
 from pathlib import Path
 from typing import BinaryIO, Iterable, KeysView, Mapping
 
@@ -111,17 +113,18 @@ class FactStore:
     def vertices(self) -> KeysView[VertexId]:
         return self._entries.keys()
 
-    def snapshot(self) -> Entries:
-        """Raw ``(IN, OUT)`` payload bytes per vertex, for equality checks."""
-        return dict(self._entries)
-
     def _commit(self, entries: Entries) -> None:
-        """Write ``entries`` as the snapshot, record by record, then rename
-        it into place; a failed write removes its partial temporary file."""
+        """Write ``entries`` to a temporary file of its own, record by record,
+        then rename it into place. mkstemp makes that file private to its
+        owner, so it first gets the mode a plain ``open`` gives a new file
+        under the current umask. A failed write removes the file, and its
+        error names the store, not the file's random name."""
         fp = self._analysis.fingerprint().encode("utf-8")
-        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp = None
         try:
-            with open(tmp, "wb") as fh:
+            fd, tmp = tempfile.mkstemp(prefix=self.path.name + ".", suffix=".tmp",
+                                       dir=self.path.parent)
+            with open(fd, "wb") as fh:
                 fh.write(_MAGIC + _HEADER.pack(len(fp)) + fp)
                 for vertex in sorted(entries):
                     in_data, out_data = entries[vertex]
@@ -129,11 +132,15 @@ class FactStore:
                     fh.write(in_data)
                     fh.write(_RECORD.pack(vertex, 1, len(out_data)))
                     fh.write(out_data)
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, self.path)
         except OSError as exc:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
-            raise StoreIOError(f"cannot write store {self.path}: {exc}") from exc
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+            raise StoreIOError(f"cannot write store {self.path}: {exc.strerror or exc}") from exc
 
 
 def _read_header(fh: BinaryIO, path: Path) -> str:

@@ -58,6 +58,19 @@ def join_store(header: bytes, records: list[tuple[int, int, bytes]]) -> bytes:
                              for vertex, code, payload in records)
 
 
+def store_payloads(path: Path) -> dict[int, tuple[bytes, bytes]]:
+    """The ``(IN, OUT)`` payload bytes per vertex of a well-formed store file."""
+    _, records = split_store(path.read_bytes())
+    return {v: (in_data, out_data)
+            for (v, _, in_data), (_, _, out_data) in zip(records[::2], records[1::2])}
+
+
+def store_contents(store: lf.FactStore) -> tuple[list[int], list]:
+    """What a store handle holds: its vertices and their decoded pairs."""
+    vertices = sorted(store.vertices())
+    return vertices, store.batch_get(vertices)
+
+
 def new_store(path: Path, analysis: lf.Analysis) -> lf.FactStore:
     """A file-backed store of no vertices, committed as a header-only file."""
     store = lf.FactStore(analysis, path)

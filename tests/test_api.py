@@ -1,13 +1,15 @@
 """The public API, pinned: a name added to or removed from the package's
-exports, or from a fact store's or a graph's public members, and a
-parameter renamed, reordered, added or removed in a runner or in the
-store's constructor, fails these tests, so every change to the API shows
-in review."""
+exports, or from a fact store's or a graph's public members, a parameter
+renamed, reordered, added or removed in a runner or in the store's
+constructor, and an option added to or removed from a command fails these
+tests, so every change to the API shows in review."""
 
+import argparse
 import inspect
 import types
 
 import latticeflow as lf
+from latticeflow import cli
 
 PUBLIC = {
     # analyses
@@ -45,9 +47,7 @@ def test_public_names_are_pinned():
     assert exported == PUBLIC
 
 
-STORE_MEMBERS = {
-    "open", "read_fingerprint", "batch_get", "batch_put", "vertices", "snapshot", "path",
-}
+STORE_MEMBERS = {"open", "read_fingerprint", "batch_get", "batch_put", "vertices", "path"}
 
 
 def test_store_members_are_pinned(tmp_path):
@@ -66,17 +66,15 @@ def test_graph_members_are_pinned():
 
 P, K = "POSITIONAL_OR_KEYWORD", "KEYWORD_ONLY"
 SIGNATURES = {
-    "run": [("g", P), ("analysis", P), ("algorithm", P), ("superstep_cap", K)],
-    "run_classic": [("g", P), ("analysis", P), ("superstep_cap", K)],
-    "run_optimized": [("g", P), ("analysis", P), ("superstep_cap", K)],
-    "seed_and_run": [("g", P), ("analysis", P), ("reset", P), ("warm", P), ("boundary", P),
-                     ("superstep_cap", K)],
+    "run": [("g", P), ("analysis", P), ("algorithm", P)],
+    "run_classic": [("g", P), ("analysis", P)],
+    "run_optimized": [("g", P), ("analysis", P)],
+    "seed_and_run": [("g", P), ("analysis", P), ("reset", P), ("warm", P), ("boundary", P)],
     "build_impact": [("batch", P), ("new_graph", P), ("per_kind", K)],
     "transitive_closure": [("seed", P), ("g", P)],
-    "run_incremental_naive": [("new_graph", P), ("batch", P), ("store", P), ("analysis", P),
-                              ("superstep_cap", K)],
+    "run_incremental_naive": [("new_graph", P), ("batch", P), ("store", P), ("analysis", P)],
     "run_incremental_optimized": [("new_graph", P), ("batch", P), ("store", P),
-                                  ("analysis", P), ("superstep_cap", K)],
+                                  ("analysis", P)],
     "FactStore": [("analysis", P), ("path", P)],  # every store is a file
 }
 
@@ -86,3 +84,21 @@ def test_runner_signatures_are_pinned():
                     for p in inspect.signature(getattr(lf, name)).parameters.values()]
              for name in SIGNATURES}
     assert found == SIGNATURES
+
+
+# Each subcommand's option strings besides -h/--help.
+OPTIONS = {
+    "analyze": {"--cfg", "--analysis", "--algo", "--workers", "--store", "--sets", "--assoc"},
+    "diff": {"--old", "--new", "--out"},
+    "incremental": {"--cfg", "--changes", "--store", "--mode", "--workers"},
+    "verify": {"--cfg", "--analysis", "--sets", "--assoc"},
+}
+
+
+def test_command_line_options_are_pinned():
+    commands = next(action.choices for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    found = {name: {option for action in sub._actions if action.dest != "help"
+                    for option in action.option_strings}
+             for name, sub in commands.items()}
+    assert found == OPTIONS

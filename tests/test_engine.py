@@ -392,14 +392,47 @@ def test_non_monotone_analysis_hits_superstep_cap():
             solve(g, _Oscillator())
 
 
-def test_superstep_cap_override():
-    g = load_fixture("chain10.cfg")
-    with pytest.raises(lf.NonConvergenceError):
-        lf.run_optimized(g, lf.reaching_defs(), superstep_cap=3)
-    assert lf.run_classic(g, lf.reaching_defs(), superstep_cap=10).supersteps == 10
+class _Climber(Analysis):
+    """Monotone on the chain 0 < 1 < ... < ``height``: a transfer adds one,
+    up to ``height``. A lone vertex on a self-loop changes its OUT
+    ``height + 1`` times and so runs ``height + 1`` supersteps."""
+
+    name = "climber"
+    direction = Direction.INCREASING
+
+    def __init__(self, height):
+        self.height = height
+
+    def initial(self):
+        return 0
+
+    def merge(self, pred_facts, old_in):
+        return max([old_in, *pred_facts])
+
+    def transfer(self, stmts, in_fact):
+        return min(in_fact + 1, self.height)
+
+    def encode(self, fact):
+        raise NotImplementedError
+
+    def decode(self, data):
+        raise NotImplementedError
+
+
+_CAP_10 = r"no fixed point after 10 supersteps \(cap 10\)"
+
+
+def test_superstep_cap_is_ten_per_vertex_the_run_covers():
+    g = lf.parse_graph("V 1 entry nop\nE 1 1\n")
     for runner in (lf.run_classic, lf.run_optimized):
-        with pytest.raises(ValueError, match="superstep_cap"):
-            runner(g, lf.reaching_defs(), superstep_cap=0)
+        assert runner(g, _Climber(9)).supersteps == 10
+        with pytest.raises(lf.NonConvergenceError, match=_CAP_10):
+            runner(g, _Climber(10))
+    # Warm-started on one vertex of three, the run covers one: cap 10, not 30.
+    g = lf.parse_graph("V 1 entry nop\nV 2 nop\nV 3 nop\nE 1 2\nE 2 3\nE 3 3\n")
+    assert lf.seed_and_run(g, _Climber(9), (), {3: (0, 0)}, {}).supersteps == 10
+    with pytest.raises(lf.NonConvergenceError, match=_CAP_10):
+        lf.seed_and_run(g, _Climber(10), (), {3: (0, 0)}, {})
 
 
 def test_run_report_shape():

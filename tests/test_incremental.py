@@ -15,7 +15,14 @@ import latticeflow as lf
 from latticeflow import cli
 from latticeflow.cfg import ChangeKind
 from latticeflow.incremental import build_impact
-from support import edge_set, load_fixture, new_store, random_edit, random_graph
+from support import (
+    edge_set,
+    load_fixture,
+    new_store,
+    random_edit,
+    random_graph,
+    store_payloads,
+)
 
 ANALYSES = [lf.reaching_defs, lf.const_prop, lf.lru_must_cache]
 
@@ -33,8 +40,9 @@ def _converged_store(graph, analysis, path):
     return store
 
 
-def _scratch_snapshot(graph, analysis, path):
-    return _converged_store(graph, analysis, path).snapshot()
+def _scratch_bytes(graph, analysis, path):
+    """The store file of a from-scratch analysis of ``graph``."""
+    return _converged_store(graph, analysis, path).path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +198,9 @@ def test_empty_batch_touches_nothing(tmp_path, runner):
     g = load_fixture("diamond_rd.cfg")
     analysis = lf.reaching_defs()
     store = _converged_store(g, analysis, tmp_path / "g.store")
-    before = store.snapshot()
+    before = store.path.read_bytes()
     run = runner(g, (), store, analysis)
-    assert store.snapshot() == before
+    assert store.path.read_bytes() == before
     assert run.result.supersteps == 0
     assert not run.impact.affected_all
 
@@ -207,7 +215,7 @@ def test_added_edge_on_diamond_matches_scratch(tmp_path, make, runner):
     analysis = make()
     store = _converged_store(old, analysis, tmp_path / "old.store")
     runner(new, batch, store, analysis)
-    assert store.snapshot() == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
+    assert store.path.read_bytes() == _scratch_bytes(new, analysis, tmp_path / "scratch.store")
 
 
 @pytest.mark.parametrize("make", ANALYSES)
@@ -215,10 +223,10 @@ def test_worked_example_updates_only_affected(tmp_path, make):
     old, new, batch = _example()
     analysis = make()
     store = _converged_store(old, analysis, tmp_path / "old.store")
-    before = store.snapshot()
+    before = store_payloads(store.path)
     run = lf.run_incremental_naive(new, batch, store, analysis)
-    after = store.snapshot()
-    assert after == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
+    after = store_payloads(store.path)
+    assert store.path.read_bytes() == _scratch_bytes(new, analysis, tmp_path / "scratch.store")
     untouched = set(new.vertices) - set(run.impact.affected_all)
     for vertex in untouched:
         assert after[vertex] == before[vertex]
@@ -234,11 +242,11 @@ def test_random_edits_match_scratch_both_modes(tmp_path, make):
         old = random_graph(rng, max_vertices=18, max_edges=40)
         new = random_edit(rng, old)
         batch = lf.diff_graphs(old, new)
-        scratch = _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
+        scratch = _scratch_bytes(new, analysis, tmp_path / "scratch.store")
         for runner in (lf.run_incremental_naive, lf.run_incremental_optimized):
             store = _converged_store(old, analysis, tmp_path / "old.store")
             runner(new, batch, store, analysis)
-            assert store.snapshot() == scratch
+            assert store.path.read_bytes() == scratch
 
 
 @pytest.mark.parametrize("make", ANALYSES)
@@ -247,10 +255,10 @@ def test_incremental_is_idempotent(tmp_path, make):
     analysis = make()
     store = _converged_store(old, analysis, tmp_path / "old.store")
     lf.run_incremental_optimized(new, batch, store, analysis)
-    settled = store.snapshot()
+    settled = store.path.read_bytes()
     rerun = lf.run_incremental_optimized(new, lf.diff_graphs(new, new), store,
                                          analysis)
-    assert store.snapshot() == settled
+    assert store.path.read_bytes() == settled
     assert rerun.result.supersteps == 0
 
 
@@ -339,7 +347,7 @@ E 4 2
     analysis = make()
     store = _converged_store(old, analysis, tmp_path / "old.store")
     runner(new, batch, store, analysis)
-    assert store.snapshot() == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
+    assert store.path.read_bytes() == _scratch_bytes(new, analysis, tmp_path / "scratch.store")
 
 
 @pytest.mark.parametrize("make", ANALYSES)
@@ -361,7 +369,7 @@ E 1 2
     analysis = make()
     store = _converged_store(old, analysis, tmp_path / "old.store")
     runner(new, batch, store, analysis)
-    assert store.snapshot() == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
+    assert store.path.read_bytes() == _scratch_bytes(new, analysis, tmp_path / "scratch.store")
 
 
 def test_store_miss_for_boundary_predecessor_raises(tmp_path):
@@ -434,7 +442,7 @@ E 4 3
     analysis = make()
     store = _converged_store(old, analysis, tmp_path / "old.store")
     runner(new, batch, store, analysis)
-    assert store.snapshot() == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
+    assert store.path.read_bytes() == _scratch_bytes(new, analysis, tmp_path / "scratch.store")
 
 
 @pytest.mark.parametrize("make", ANALYSES)
@@ -461,7 +469,7 @@ def test_full_reset_costs_what_a_scratch_run_costs(tmp_path, make, runner):
     counts = (run.result.supersteps, run.result.messages_sent, run.result.fact_updates)
     assert counts == (scratch.supersteps, scratch.messages_sent, scratch.fact_updates)
     assert counts == (n, n - 1, n)
-    assert store.snapshot() == _scratch_snapshot(new, analysis, tmp_path / "scratch.store")
+    assert store.path.read_bytes() == _scratch_bytes(new, analysis, tmp_path / "scratch.store")
 
 
 def test_incremental_run_commits_the_store_once(tmp_path, monkeypatch):

@@ -10,7 +10,14 @@ import pytest
 
 import latticeflow as lf
 from latticeflow import cli
-from support import fixture_path, join_store, new_store, random_rd_fact, split_store
+from support import (
+    fixture_path,
+    join_store,
+    new_store,
+    random_rd_fact,
+    split_store,
+    store_contents,
+)
 
 # The benchmark's independent store reader, imported the way bench/test_checks.py does.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -70,9 +77,9 @@ def test_batch_get_positional_alignment(tmp_path):
 def test_empty_batch_put_is_noop(tmp_path):
     store = lf.FactStore(lf.reaching_defs(), tmp_path / "facts.store")
     _put(store, {1: (_rd(), _rd(("d1", "x")))})
-    before = store.snapshot()
+    before = store_contents(store)
     store.batch_put({}, {})
-    assert store.snapshot() == before
+    assert store_contents(store) == before
 
 
 def test_overwrite_and_duplicate_in_batch(tmp_path):
@@ -104,7 +111,7 @@ def test_file_round_trip(tmp_path):
     _put(store, {3: pair})
     reopened = lf.FactStore.open(path, lf.reaching_defs())
     assert reopened.batch_get([3]) == [pair]
-    assert reopened.snapshot() == store.snapshot()
+    assert store_contents(reopened) == store_contents(store)
 
 
 def test_open_of_a_missing_file_is_a_store_io_error(tmp_path):
@@ -206,6 +213,40 @@ def test_batch_put_failing_after_the_header_removes_its_temporary_file(tmp_path,
     assert reopened.batch_get([2, 1]) == [None, (_rd(), _rd(("d1", "x")))]
     assert store.batch_get([2, 1]) == [None, (_rd(), _rd(("d1", "x")))]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["facts.store"]
+
+
+def test_two_handles_committing_at_once_use_separate_temporary_files(tmp_path, monkeypatch):
+    path = tmp_path / "s.store"
+    analysis = lf.reaching_defs()
+    new_store(path, analysis)
+    first, second = lf.FactStore.open(path, analysis), lf.FactStore.open(path, analysis)
+    real_replace = os.replace
+    renamed = []
+
+    def replace(src, dst):
+        renamed.append(Path(src))
+        if len(renamed) == 1:
+            # The second handle commits in full just before the first one renames.
+            _put(second, {2: (_rd(), _rd(("d2", "y")))})
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    _put(first, {1: (_rd(), _rd(("d1", "x")))})
+    monkeypatch.undo()
+
+    assert len(renamed) == 2 and renamed[0] != renamed[1]
+    assert [p.parent for p in renamed] == [tmp_path, tmp_path]
+    _put(new_store(tmp_path / "fresh.store", analysis), {1: (_rd(), _rd(("d1", "x")))})
+    assert path.read_bytes() == (tmp_path / "fresh.store").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.store", "s.store"]
+
+
+def test_a_store_file_gets_the_mode_a_plain_open_gives(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    store = new_store(tmp_path / "facts.store", lf.reaching_defs())
+    _put(store, {1: (_rd(), _rd(("d1", "x")))})
+    assert store.path.stat().st_mode == plain.stat().st_mode
 
 
 def test_one_vertex_commit_holds_no_copy_of_the_store(tmp_path):
@@ -317,8 +358,9 @@ def test_consecutive_identical_facts_are_encoded_once(tmp_path, monkeypatch):
     # 1: IN is its OUT; 2: IN is 1's OUT; 3: an equal but distinct object.
     store.batch_put({1: a, 2: a, 3: _rd(("d2", "x"))}, {1: a, 2: b, 3: b})
     assert encoded == [a, b, _rd(("d2", "x"))]
-    snap = store.snapshot()
-    assert snap[1] == (snap[2][0], snap[2][0]) and snap[2][1] == snap[3][0] == snap[3][1]
+    _, records = split_store((tmp_path / "facts.store").read_bytes())
+    data = {(v, slot): payload for v, slot, payload in records}
+    assert data[1, 0] == data[1, 1] == data[2, 0] and data[2, 1] == data[3, 0] == data[3, 1]
 
 
 def test_shared_facts_far_apart_are_encoded_once(tmp_path, monkeypatch):
@@ -337,7 +379,7 @@ def test_shared_facts_far_apart_are_encoded_once(tmp_path, monkeypatch):
     fresh = lf.FactStore(analysis, tmp_path / "b.store")
     fresh.batch_put({v: _rd(*f.defs) for v, f in in_facts.items()},
                     {v: _rd(*f.defs) for v, f in out_facts.items()})
-    assert store.snapshot() == fresh.snapshot()
+    assert (tmp_path / "a.store").read_bytes() == (tmp_path / "b.store").read_bytes()
 
 
 def _two_vertex_store(tmp_path):
@@ -372,9 +414,12 @@ def test_store_and_benchmark_oracle_read_the_same_records(tmp_path, capsys, anal
                          *_ANALYSIS_ARGS[analysis], "--algo", algo,
                          "--store", str(path)]) == cli.EXIT_OK
         fingerprint, records = oracle.read_store(path.read_bytes())
-        store = lf.FactStore.open(path, lf.analysis_from_fingerprint(fingerprint))
-        ours = {(v, slot): data for v, pair in store.snapshot().items()
-                for slot, data in enumerate(pair)}
-        assert ours == records, cfg.name
-        assert len(records) == 2 * len(store.vertices()) > 0
+        _, ours = split_store(path.read_bytes())
+        assert {(v, slot): data for v, slot, data in ours} == records, cfg.name
+        # The store's own reader decodes the same payloads.
+        client = lf.analysis_from_fingerprint(fingerprint)
+        vertices, pairs = store_contents(lf.FactStore.open(path, client))
+        assert pairs == [(client.decode(records[v, 0]), client.decode(records[v, 1]))
+                         for v in vertices], cfg.name
+        assert len(records) == 2 * len(vertices) > 0
     capsys.readouterr()
